@@ -6,7 +6,7 @@ from .bell import (ChshReport, SettingQuad, chsh_finite, chsh_ideal, optimize_ge
                    optimize_symmetric, chsh_optimal_quad, symmetric_chsh, symmetric_quad)
 from .bessel import bessel_j, jacobi_anger_residual, truncation_order
 from .binspace import (TwoPhotonState, apply_dispersion, apply_modulator, correlated_state,
-                       modulation_kernel, parity_probabilities, phase_state)
+                       modulation_kernel, parity_probabilities, parity_tables, phase_state)
 from .closedform import (EffectiveDrive, ProbTable, apply_crosstalk, effective_drive,
                          ideal_probabilities, phase_average_oracle)
 from .config import RunConfig, load_config
@@ -14,7 +14,8 @@ from .counts import (CountRecord, Histogram, chsh_estimate, crosstalk_for_visibi
                      emit_histogram, extract_counts, ingest_histogram, simulate_counts,
                      synthesize_histogram, visibility)
 from .errors import (BesselDomainError, EstimatorError, FreqbinError, HistogramFormatError,
-                     InvalidInputError, OptimizationError, TruncationCapError, WindowBoundError)
+                     InvalidInputError, OptimizationError, ProbabilitySumError, TruncationCapError,
+                     WindowBoundError)
 from .params import (BinWindow, DispersionProfile, MeasurementModel, ModulationSetting,
                      TruncationPolicy, crosstalk_from_extinction_db)
 
@@ -24,13 +25,13 @@ __all__ = [
     "BesselDomainError", "BinWindow", "ChshReport", "CountRecord", "DispersionProfile",
     "EffectiveDrive", "EstimatorError", "FreqbinError", "Histogram", "HistogramFormatError",
     "InvalidInputError", "MeasurementModel", "ModulationSetting", "OptimizationError",
-    "ProbTable", "RunConfig", "SettingQuad", "TruncationCapError", "TruncationPolicy",
-    "TwoPhotonState", "WindowBoundError", "apply_crosstalk", "apply_dispersion",
-    "apply_modulator", "bessel_j", "chsh_estimate", "chsh_finite", "chsh_ideal",
+    "ProbTable", "ProbabilitySumError", "RunConfig", "SettingQuad", "TruncationCapError",
+    "TruncationPolicy", "TwoPhotonState", "WindowBoundError", "apply_crosstalk",
+    "apply_dispersion", "apply_modulator", "bessel_j", "chsh_estimate", "chsh_finite", "chsh_ideal",
     "correlated_state", "crosstalk_for_visibility", "crosstalk_from_extinction_db",
     "effective_drive", "emit_histogram", "extract_counts", "ideal_probabilities",
     "ingest_histogram", "jacobi_anger_residual", "load_config", "modulation_kernel",
     "optimize_general", "optimize_symmetric", "chsh_optimal_quad", "parity_probabilities",
-    "phase_average_oracle", "phase_state", "simulate_counts", "symmetric_chsh",
-    "symmetric_quad", "synthesize_histogram", "truncation_order", "visibility",
+    "parity_tables", "phase_average_oracle", "phase_state", "simulate_counts",
+    "symmetric_chsh", "symmetric_quad", "synthesize_histogram", "truncation_order", "visibility",
 ]

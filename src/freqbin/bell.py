@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import bessel_j
-from .binspace import apply_dispersion, apply_modulator, correlated_state, parity_probabilities
+from .binspace import parity_tables
 from .closedform import EffectiveDrive, effective_drive
 from .errors import InvalidInputError, OptimizationError
 from .params import DispersionProfile, MeasurementModel, ModulationSetting, TruncationPolicy
@@ -161,18 +161,6 @@ def chsh_finite(quad: SettingQuad,
                 dispersion: DispersionProfile | None = None,
                 policy: TruncationPolicy | None = None) -> ChshReport:
     """CHSH report from the finite-bin simulation of a uniform correlated state."""
-    if policy is None:
-        policy = TruncationPolicy()
-    base = correlated_state(bins)
-    if dispersion is not None and not dispersion.is_zero():
-        base = apply_dispersion(base, dispersion, "A")
-        base = apply_dispersion(base, dispersion, "B")
-    correlators = []
-    drives = []
-    for setting_a, setting_b in quad.pairs():
-        state = apply_modulator(base, "A", setting_a, policy)
-        state = apply_modulator(state, "B", setting_b, policy)
-        table = parity_probabilities(state, model)
-        correlators.append(table.correlator)
-        drives.append(effective_drive(setting_a, setting_b))
-    return ChshReport.from_correlators(correlators, drives)
+    tables = parity_tables(bins, quad.pairs(), model, dispersion, policy)
+    drives = [effective_drive(setting_a, setting_b) for setting_a, setting_b in quad.pairs()]
+    return ChshReport.from_correlators([table.correlator for table in tables], drives)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .bell import PAIR_LABELS, SettingQuad, chsh_finite, chsh_ideal, optimize_general, optimize_symmetric
-from .binspace import apply_dispersion, apply_modulator, correlated_state, parity_probabilities
+from .binspace import parity_tables
 from .closedform import apply_crosstalk, effective_drive, ideal_probabilities
 from .config import RunConfig, load_config, parse_bins
 from .counts import (DEFAULT_BACKGROUND_WINDOW, DEFAULT_PEAK_WINDOW, chsh_estimate, emit_histogram,
@@ -246,15 +246,10 @@ def _cmd_pattern(args, config: RunConfig) -> int:
 
     finite_rows = []
     if want_finite:
-        base = correlated_state(config.bins)
-        if not config.dispersion.is_zero():
-            base = apply_dispersion(base, config.dispersion, "A")
-            base = apply_dispersion(base, config.dispersion, "B")
         setting_b = ModulationSetting(args.b, args.beta)
-        for alpha in alphas:
-            state = apply_modulator(base, "A", ModulationSetting(args.a, alpha), config.truncation)
-            state = apply_modulator(state, "B", setting_b, config.truncation)
-            finite_rows.append(parity_probabilities(state, config.measurement).as_tuple())
+        pairs = [(ModulationSetting(args.a, alpha), setting_b) for alpha in alphas]
+        finite_rows = [table.as_tuple() for table in parity_tables(
+            config.bins, pairs, config.measurement, config.dispersion, config.truncation)]
 
     results: dict = {}
     if want_ideal and want_finite:

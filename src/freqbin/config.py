@@ -68,11 +68,11 @@ class RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(path, encoding="utf-8") as handle:
-        try:
+    try:
+        with open(path, encoding="utf-8") as handle:
             data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InvalidInputError(f"config file {path}: {exc}") from None
+    except (OSError, ValueError) as exc:  # unreadable file, bad UTF-8 or bad JSON
+        raise InvalidInputError(f"config file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise InvalidInputError(f"config file {path}: expected a JSON object")
     return RunConfig.from_dict(data)
@@ -83,7 +83,10 @@ def parse_bins(text: str) -> tuple[int, ...]:
     text = text.strip()
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
+        try:
+            lo, hi = int(lo_text), int(hi_text)
+        except ValueError:
+            raise InvalidInputError(f"bad bin range {text!r}") from None
         if hi < lo:
             raise InvalidInputError(f"bad bin range {text!r}")
         return tuple(range(lo, hi + 1))

@@ -26,6 +26,10 @@ class WindowBoundError(FreqbinError, ValueError):
     """A modulation step would widen the bin window past the absolute bound."""
 
 
+class ProbabilitySumError(FreqbinError, RuntimeError):
+    """A computed parity table's total is farther from 1 than the truncation policy allows."""
+
+
 class HistogramFormatError(FreqbinError, ValueError):
     """Malformed coincidence-histogram file; carries the offending line number."""
 

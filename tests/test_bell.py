@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from freqbin import (InvalidInputError, MeasurementModel, ModulationSetting, OptimizationError,
-                     SettingQuad, chsh_finite, chsh_ideal, optimize_general, optimize_symmetric,
-                     chsh_optimal_quad, symmetric_chsh, symmetric_quad)
+from freqbin import (DispersionProfile, InvalidInputError, MeasurementModel, ModulationSetting,
+                     OptimizationError, SettingQuad, WindowBoundError, chsh_finite, chsh_ideal,
+                     optimize_general, optimize_symmetric, chsh_optimal_quad, symmetric_chsh,
+                     symmetric_quad)
 
 S_MAX_THEORY = 2.5664949013225584  # 3 J_0(4c*) - J_0(12c*) at the optimal amplitude
 
@@ -153,6 +154,20 @@ class TestChshFinite:
                             model=MeasurementModel(crosstalk=0.03))
         for e_clean, e_noisy in zip(clean.correlators, noisy.correlators):
             assert abs(e_noisy - (1 - 2 * 0.03) ** 2 * e_clean) < 1e-12
+
+    def test_input_errors(self):
+        quad = chsh_optimal_quad()
+        with pytest.raises(InvalidInputError):
+            chsh_finite(quad, [])
+        with pytest.raises(InvalidInputError):
+            chsh_finite(quad, [1, 2, 2])
+        for override in (9, 3):  # outside the A window [1, 6], then the B window [-6, -1]
+            with pytest.raises(InvalidInputError):
+                chsh_finite(quad, range(1, 7), dispersion=DispersionProfile(0.0, {override: 0.1}))
+        # c = 1.5 keeps order 13, so bins -500..500 would reach |bin| = 513 > 512
+        wide = SettingQuad(quad.a0, ModulationSetting(1.5, 0.0), quad.b0, quad.b1)
+        with pytest.raises(WindowBoundError):
+            chsh_finite(wide, range(-500, 501))
 
     def test_gauge_invariance(self):
         base = chsh_finite(chsh_optimal_quad(), range(1, 7))

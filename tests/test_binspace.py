@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from freqbin import (BinWindow, DispersionProfile, InvalidInputError, MeasurementModel,
-                     ModulationSetting, TruncationPolicy, TwoPhotonState, WindowBoundError,
-                     apply_dispersion, apply_modulator, bessel_j, correlated_state,
-                     effective_drive, ideal_probabilities, modulation_kernel,
-                     parity_probabilities, phase_state)
+                     ModulationSetting, ProbabilitySumError, TruncationPolicy, TwoPhotonState,
+                     WindowBoundError, apply_dispersion, apply_modulator, bessel_j,
+                     chsh_optimal_quad, correlated_state, effective_drive, ideal_probabilities,
+                     modulation_kernel, parity_probabilities, parity_tables, phase_state)
+from freqbin import binspace
 
 POLICY = TruncationPolicy()
 
@@ -273,6 +274,110 @@ class TestConvergenceToClosedForm:
 
     def test_deviation_below_1e3_at_k801(self):
         assert self.quad_deviation(801) <= 1e-3
+
+
+def dense_tables(bins, pairs, model=None, dispersion=None, policy=POLICY):
+    """The dense oracle: correlated state, dispersion, modulate A then B, parity sums."""
+    base = correlated_state(bins)
+    if dispersion is not None and not dispersion.is_zero():
+        base = apply_dispersion(base, dispersion, "A")
+        base = apply_dispersion(base, dispersion, "B")
+    tables = []
+    for setting_a, setting_b in pairs:
+        state = apply_modulator(base, "A", setting_a, policy)
+        state = apply_modulator(state, "B", setting_b, policy)
+        tables.append(parity_probabilities(state, model))
+    return tables
+
+
+def random_pairs(seed, count):
+    rng = np.random.default_rng(seed)
+    return [(ModulationSetting(float(rng.uniform(0, 1.5)), float(rng.uniform(0, 2 * math.pi))),
+             ModulationSetting(float(rng.uniform(0, 1.5)), float(rng.uniform(0, 2 * math.pi))))
+            for _ in range(count)]
+
+
+class TestParityTables:
+    CASES = {
+        "K=1": (range(0, 1), None, None, POLICY),
+        "K=6": (range(1, 7), None, None, POLICY),
+        "K=41": (range(-20, 21), None, None, POLICY),
+        "K=801 dispersed": (range(-400, 401), None, DispersionProfile(1e-4), POLICY),
+        "non-contiguous": ([1, 3, 4, 9, -7], None, None, POLICY),
+        "quadratic + overrides": (range(-20, 21), None,
+                                  DispersionProfile(0.01, {-3: 0.7, 5: 1.9, 20: -2.5}), POLICY),
+        "crosstalk": (range(1, 7), MeasurementModel(crosstalk=0.0241), None, POLICY),
+        "loose policy": (range(-20, 21), None, None, TruncationPolicy(epsilon=1e-3)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_dense_oracle(self, case):
+        bins, model, dispersion, policy = self.CASES[case]
+        zero = ModulationSetting(0.0, 0.3)
+        pairs = random_pairs(11, 2 if len(bins) > 100 else 4)
+        pairs += [(zero, pairs[0][1]), (pairs[0][0], zero)]
+        banded = parity_tables(bins, pairs, model, dispersion, policy)
+        dense = dense_tables(bins, pairs, model, dispersion, policy)
+        assert len(banded) == len(pairs)
+        for got, want in zip(banded, dense):
+            for g, w in zip(got.as_tuple(), want.as_tuple()):
+                assert abs(g - w) <= 1e-12
+
+    def test_builds_each_distinct_kernel_once(self, monkeypatch):
+        calls = []
+        build = binspace.modulation_kernel
+        monkeypatch.setattr(binspace, "modulation_kernel",
+                            lambda setting, policy: calls.append(setting) or build(setting, policy))
+        sb = ModulationSetting(0.6955, 0.0)
+        pairs = [(ModulationSetting(0.6955, alpha), sb) for alpha in (0.1, 0.2, 0.3)]
+        parity_tables(range(1, 7), pairs)
+        assert len(calls) == 4
+
+    def test_rejects_what_the_dense_path_rejects(self):
+        pair = [(ModulationSetting(0.5, 0.0), ModulationSetting(0.5, 1.0))]
+        with pytest.raises(InvalidInputError):
+            parity_tables([], pair)
+        with pytest.raises(InvalidInputError):
+            parity_tables([1, 2, 2], pair)
+        # bins 1..6: the A window is [1, 6], the B window [-6, -1]
+        for override in (9, -3, 3):
+            with pytest.raises(InvalidInputError):
+                parity_tables(range(1, 7), pair, dispersion=DispersionProfile(0.0, {override: 0.1}))
+        parity_tables(range(-3, 4), pair, dispersion=DispersionProfile(0.0, {-3: 0.1, 3: 0.1}))
+        with pytest.raises(WindowBoundError):
+            parity_tables(range(-500, 501), [(ModulationSetting(1.5, 0.0), ModulationSetting(0.0))])
+        with pytest.raises(WindowBoundError):
+            parity_tables(range(-500, 501), [(ModulationSetting(0.0), ModulationSetting(1.5, 0.0))])
+
+    @pytest.mark.parametrize("epsilon", [1e-12, 1e-3, 0.5])
+    def test_probability_sum_check_passes_truncated_kernels(self, epsilon):
+        policy = TruncationPolicy(epsilon=epsilon)
+        same = ModulationSetting(0.6955, math.pi)
+        pairs = random_pairs(7, 6) + [(same, same)]
+        for bins in (range(0, 1), range(1, 7), range(-20, 21), range(-100, 101)):
+            assert len(parity_tables(bins, pairs, policy=policy)) == len(pairs)
+
+    def test_truncated_totals_can_exceed_one(self):
+        # The kept sideband series is not unitary: at epsilon = 1e-3 the paper's
+        # (A1, B1) pair on 41 bins sums to 1 + 6.9e-7 on the dense path too, so
+        # the check must allow excess of order epsilon**2, not only deficit.
+        policy = TruncationPolicy(epsilon=1e-3)
+        pair = [chsh_optimal_quad().pairs()[3]]
+        dense = dense_tables(range(-20, 21), pair, policy=policy)[0].total
+        banded = parity_tables(range(-20, 21), pair, policy=policy)[0].total
+        assert 1.0 + 1e-7 < dense < 1.0 + 1e-6
+        assert abs(banded - dense) <= 1e-12
+
+    def test_probability_sum_check_trips_on_a_lossy_kernel(self, monkeypatch):
+        build = binspace.modulation_kernel
+
+        def lossy(setting, policy):
+            offsets, weights = build(setting, policy)
+            return offsets, 0.9 * weights
+
+        monkeypatch.setattr(binspace, "modulation_kernel", lossy)
+        with pytest.raises(ProbabilitySumError):
+            parity_tables(range(1, 7), chsh_optimal_quad().pairs())
 
 
 class TestPhaseState:

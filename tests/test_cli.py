@@ -310,6 +310,30 @@ class TestExitCodes:
         assert run_cli("chsh") == 2
         capsys.readouterr()
 
+    def test_bad_bin_range_is_data_error(self, capsys):
+        assert run_cli("chsh", "finite", "--bins", "1..x") == 3
+        assert "bad bin range" in capsys.readouterr().err
+
+    def test_missing_config_file_is_data_error(self, tmp_path, capsys):
+        assert run_cli("chsh", "finite", "--config", str(tmp_path / "absent.json")) == 3
+        assert "absent.json" in capsys.readouterr().err
+
+    def test_window_past_bin_bound_is_data_error(self, capsys):
+        assert run_cli("chsh", "finite", "--bins=-500..500", "--a1", "1.5") == 3
+        assert "exceeds |bin| <= 512" in capsys.readouterr().err
+
+    def test_probability_sum_fault_is_data_error(self, monkeypatch, capsys):
+        from freqbin import binspace
+        build = binspace.modulation_kernel
+
+        def lossy(setting, policy):
+            offsets, weights = build(setting, policy)
+            return offsets, 0.9 * weights
+
+        monkeypatch.setattr(binspace, "modulation_kernel", lossy)
+        assert run_cli("chsh", "finite") == 3
+        assert "sums to" in capsys.readouterr().err
+
     def test_console_entry_point(self):
         result = subprocess.run([sys.executable, "-m", "freqbin.cli", "--version"],
                                 capture_output=True, text=True)
