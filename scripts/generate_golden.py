@@ -11,38 +11,17 @@ import math
 from pathlib import Path
 
 from freqbin import (ModulationSetting, chsh_finite, effective_drive, ideal_probabilities,
-                     chsh_optimal_quad)
-from freqbin.binspace import apply_modulator, correlated_state, parity_probabilities
+                     chsh_optimal_quad, parity_tables)
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "tests" / "golden" / "golden_values.json"
 
 
-def finite_probability_deviation(bins, quad):
-    """Max |finite - closed-form| over the four table entries and four pairs."""
-    base = correlated_state(bins)
+def max_closed_form_deviation(bins, pairs):
+    """Max |finite - closed-form| over the four table entries and the given setting pairs."""
     worst = 0.0
-    for setting_a, setting_b in quad.pairs():
-        state = apply_modulator(base, "A", setting_a)
-        state = apply_modulator(state, "B", setting_b)
-        table = parity_probabilities(state)
+    for (setting_a, setting_b), table in zip(pairs, parity_tables(bins, pairs)):
         ideal = ideal_probabilities(effective_drive(setting_a, setting_b))
         worst = max(worst, max(abs(x - y) for x, y in zip(table.as_tuple(), ideal.as_tuple())))
-    return worst
-
-
-def pattern_gap(bins, amplitude, steps):
-    """Max |ideal - finite| over the default interference sweep."""
-    base = correlated_state(bins)
-    setting_b = ModulationSetting(amplitude, 0.0)
-    worst = 0.0
-    for k in range(steps):
-        alpha = k * 2.0 * math.pi / (steps - 1)
-        setting_a = ModulationSetting(amplitude, alpha)
-        ideal = ideal_probabilities(effective_drive(setting_a, setting_b))
-        state = apply_modulator(base, "A", setting_a)
-        state = apply_modulator(state, "B", setting_b)
-        finite = parity_probabilities(state)
-        worst = max(worst, max(abs(x - y) for x, y in zip(finite.as_tuple(), ideal.as_tuple())))
     return worst
 
 
@@ -50,19 +29,19 @@ def main():
     quad = chsh_optimal_quad()
     report6 = chsh_finite(quad, range(1, 7))
     report41 = chsh_finite(quad, range(-20, 21))
-
-    base41 = correlated_state(range(-20, 21))
-    state = apply_modulator(base41, "A", ModulationSetting(0.6955, 0.0))
-    state = apply_modulator(state, "B", ModulationSetting(0.6955, math.pi))
-    cancel_table = parity_probabilities(state)
+    cancel_table, = parity_tables(range(-20, 21), [(ModulationSetting(0.6955, 0.0),
+                                                    ModulationSetting(0.6955, math.pi))])
+    # the default interference sweep: 25 steps of alpha over [0, 2 pi] against beta = 0
+    sweep = [(ModulationSetting(0.6955, k * 2.0 * math.pi / 24), ModulationSetting(0.6955, 0.0))
+             for k in range(25)]
 
     golden = {
         "finite_6bin_s": report6.s_value,
         "finite_6bin_correlators": list(report6.correlators),
         "finite_41bin_s": report41.s_value,
-        "finite_41bin_max_prob_deviation": finite_probability_deviation(range(-20, 21), quad),
+        "finite_41bin_max_prob_deviation": max_closed_form_deviation(range(-20, 21), quad.pairs()),
         "finite_41bin_cancellation_p_eo": cancel_table.p_eo,
-        "pattern_6bin_max_gap": pattern_gap(range(1, 7), 0.6955, 25),
+        "pattern_6bin_max_gap": max_closed_form_deviation(range(1, 7), sweep),
     }
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n", encoding="utf-8")

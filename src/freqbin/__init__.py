@@ -10,9 +10,9 @@ from .binspace import (TwoPhotonState, apply_dispersion, apply_modulator, correl
 from .closedform import (EffectiveDrive, ProbTable, apply_crosstalk, effective_drive,
                          ideal_probabilities, phase_average_oracle)
 from .config import RunConfig, load_config
-from .counts import (CountRecord, Histogram, chsh_estimate, crosstalk_for_visibility,
-                     emit_histogram, extract_counts, ingest_histogram, simulate_counts,
-                     synthesize_histogram, visibility)
+from .counts import (CountRecord, Histogram, chsh_estimate, correlator_estimate,
+                     crosstalk_for_visibility, emit_histogram, extract_counts, ingest_histogram,
+                     simulate_counts, synthesize_histogram, visibility)
 from .errors import (BesselDomainError, EstimatorError, FreqbinError, HistogramFormatError,
                      InvalidInputError, OptimizationError, ProbabilitySumError, TruncationCapError,
                      WindowBoundError)
@@ -28,9 +28,10 @@ __all__ = [
     "ProbTable", "ProbabilitySumError", "RunConfig", "SettingQuad", "TruncationCapError",
     "TruncationPolicy", "TwoPhotonState", "WindowBoundError", "apply_crosstalk",
     "apply_dispersion", "apply_modulator", "bessel_j", "chsh_estimate", "chsh_finite", "chsh_ideal",
-    "correlated_state", "crosstalk_for_visibility", "crosstalk_from_extinction_db",
-    "effective_drive", "emit_histogram", "extract_counts", "ideal_probabilities",
-    "ingest_histogram", "jacobi_anger_residual", "load_config", "modulation_kernel",
+    "correlated_state", "correlator_estimate", "crosstalk_for_visibility",
+    "crosstalk_from_extinction_db", "effective_drive", "emit_histogram", "extract_counts",
+    "ideal_probabilities", "ingest_histogram", "jacobi_anger_residual", "load_config",
+    "modulation_kernel",
     "optimize_general", "optimize_symmetric", "chsh_optimal_quad", "parity_probabilities",
     "parity_tables", "phase_average_oracle", "phase_state", "simulate_counts",
     "symmetric_chsh", "symmetric_quad", "synthesize_histogram", "truncation_order", "visibility",

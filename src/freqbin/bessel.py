@@ -97,7 +97,12 @@ def _miller(n_max: int, x: float) -> list[float]:
 
 
 def truncation_order(c: float, policy: TruncationPolicy = TruncationPolicy()) -> int:
-    """Smallest P with sum_{|p| > P} J_p(c)**2 <= policy.epsilon**2.
+    """Smallest P with sum_{|p| > P} J_p(c)**2 <= policy.epsilon**2."""
+    return len(_sideband_amplitudes(c, policy)) - 1
+
+
+def _sideband_amplitudes(c: float, policy: TruncationPolicy) -> list[float]:
+    """J_0(c) .. J_P(c) for the truncation order P of truncation_order.
 
     The tail is accumulated directly from small terms upward, so tolerances
     far below double-precision resolution of (1 - partial sum) stay meaningful.
@@ -114,7 +119,7 @@ def truncation_order(c: float, policy: TruncationPolicy = TruncationPolicy()) ->
     tol = policy.epsilon * policy.epsilon
     for order in range(policy.max_order + 1):
         if tails[order] <= tol:
-            return order
+            return js[:order + 1]
     raise TruncationCapError(
         f"residual {tails[policy.max_order]:.3e} above {tol:.3e} at order cap {policy.max_order}",
         residual=tails[policy.max_order],

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_j, truncation_order
+from .bessel import _sideband_amplitudes
 from .closedform import ProbTable, apply_crosstalk
 from .errors import InvalidInputError, ProbabilitySumError, WindowBoundError
 from .params import BinWindow, DispersionProfile, MeasurementModel, ModulationSetting, TruncationPolicy
@@ -99,15 +99,13 @@ def correlated_state(bins_a) -> TwoPhotonState:
 def modulation_kernel(setting: ModulationSetting,
                       policy: TruncationPolicy = TruncationPolicy()) -> tuple[np.ndarray, np.ndarray]:
     """Sideband offsets p in [-P, P] and weights J_p(c) e^{i p (gamma - pi/2)}."""
-    p_max = truncation_order(setting.amplitude, policy)
-    js = [bessel_j(p, setting.amplitude) for p in range(p_max + 1)]
+    js = np.array(_sideband_amplitudes(setting.amplitude, policy))
+    p_max = js.size - 1
     offsets = np.arange(-p_max, p_max + 1)
-    weights = np.empty(offsets.size, dtype=complex)
-    rot = setting.phase - 0.5 * math.pi
-    for k, p in enumerate(offsets):
-        jp = js[abs(p)] if (p >= 0 or p % 2 == 0) else -js[abs(p)]
-        weights[k] = jp * complex(math.cos(p * rot), math.sin(p * rot))
-    return offsets, weights
+    # J_{-p} = (-1)**p J_p
+    amps = np.where((offsets < 0) & (offsets % 2 == 1), -1.0, 1.0) * js[np.abs(offsets)]
+    angles = offsets * (setting.phase - 0.5 * math.pi)
+    return offsets, amps * (np.cos(angles) + 1j * np.sin(angles))
 
 
 def apply_modulator(state: TwoPhotonState,
@@ -176,8 +174,7 @@ def apply_dispersion(state: TwoPhotonState, profile: DispersionProfile, arm: str
     _check_arm(arm)
     win = state.window(arm)
     _check_overrides(profile, win, arm)
-    phases = np.array([profile.phase_at(n) for n in win.bins()])
-    factors = np.exp(1j * phases)
+    factors = np.exp(1j * profile.phases(win.bins()))
     if arm == "A":
         amp = state.amplitudes * factors[:, None]
     else:
@@ -237,8 +234,8 @@ def parity_tables(bins_a,
     if dispersion is not None and not dispersion.is_zero():
         _check_overrides(dispersion, window_a, "A")
         _check_overrides(dispersion, window_b, "B")
-        phases = [dispersion.phase_at(n) + dispersion.phase_at(-n) for n in window_a.bins()]
-        envelope *= np.exp(1j * np.array(phases))
+        n = np.arange(window_a.min_bin, window_a.max_bin + 1)
+        envelope *= np.exp(1j * (dispersion.phases(n) + dispersion.phases(-n)))
 
     grams = {}
 

@@ -19,9 +19,9 @@ from .bell import PAIR_LABELS, SettingQuad, chsh_finite, chsh_ideal, optimize_ge
 from .binspace import parity_tables
 from .closedform import apply_crosstalk, effective_drive, ideal_probabilities
 from .config import RunConfig, load_config, parse_bins
-from .counts import (DEFAULT_BACKGROUND_WINDOW, DEFAULT_PEAK_WINDOW, chsh_estimate, emit_histogram,
-                     extract_counts, ingest_histogram, simulate_counts, synthesize_histogram,
-                     visibility)
+from .counts import (DEFAULT_BACKGROUND_WINDOW, DEFAULT_PEAK_WINDOW, chsh_estimate,
+                     correlator_estimate, emit_histogram, extract_counts, ingest_histogram,
+                     simulate_counts, synthesize_histogram, visibility)
 from .errors import FreqbinError, InvalidInputError
 from .params import ModulationSetting
 
@@ -214,13 +214,10 @@ def _quad_dict(quad: SettingQuad) -> dict:
             "b0": _setting_dict(quad.b0), "b1": _setting_dict(quad.b1)}
 
 
-def _synthetic_records(quad: SettingQuad, config: RunConfig) -> list:
-    model = config.measurement
-    records = []
-    for index, ((sa, sb), label) in enumerate(zip(quad.pairs(), PAIR_LABELS)):
-        probs = apply_crosstalk(ideal_probabilities(effective_drive(sa, sb)), model.crosstalk)
-        records.append(simulate_counts(probs, model, config.seed + index, labels=label))
-    return records
+def _closed_form_tables(quad: SettingQuad, crosstalk: float) -> list:
+    """Closed-form parity table of each setting pair, with interleaver crosstalk."""
+    return [apply_crosstalk(ideal_probabilities(effective_drive(sa, sb)), crosstalk)
+            for sa, sb in quad.pairs()]
 
 
 # --- pattern -----------------------------------------------------------------
@@ -302,9 +299,11 @@ def _pattern_header(want_ideal: bool, want_finite: bool) -> str:
 def _cmd_chsh_eval(args, config: RunConfig) -> int:
     quad = _quad_from_args(args)
     theory = chsh_ideal(quad)
-    records = _synthetic_records(quad, config)
+    tables = _closed_form_tables(quad, config.measurement.crosstalk)
+    records = [simulate_counts(probs, config.measurement, config.seed + index, labels=label)
+               for index, (probs, label) in enumerate(zip(tables, PAIR_LABELS))]
     s, sigma_s, c_table = chsh_estimate(records, subtract=True)
-    sigmas = [_correlator_sigma(rec) for rec in records]
+    sigmas = [math.sqrt(correlator_estimate(rec, True, None)[1]) for rec in records]
 
     print(f"{'pair':6s} {'settings':48s} {'theory':>8s} {'experiment':>18s}")
     for (label_a, label_b), (sa, sb), e_theory, c, sig in zip(PAIR_LABELS, quad.pairs(),
@@ -323,16 +322,6 @@ def _cmd_chsh_eval(args, config: RunConfig) -> int:
     lines.append(f"S,{_fmt(theory.s_value)},{_fmt(s)},{_fmt(sigma_s)}")
     _emit_report(args, _record("chsh-eval", config, _quad_dict(quad), results), lines)
     return 0
-
-
-def _correlator_sigma(record) -> float:
-    """Delta-method sigma of a single pair's C = N-/N+ from net counts."""
-    same = record.net_counts()[0] + record.net_counts()[3]
-    cross = record.net_counts()[1] + record.net_counts()[2]
-    var_same = record.counts()[0] + record.counts()[3]
-    var_cross = record.counts()[1] + record.counts()[2]
-    n_plus = same + cross
-    return math.sqrt(4.0 * (cross**2 * var_same + same**2 * var_cross)) / n_plus**2
 
 
 def _cmd_chsh_optimize(args, config: RunConfig) -> int:
@@ -385,8 +374,7 @@ def _cmd_chsh_montecarlo(args, config: RunConfig) -> int:
         raise _UsageError("--ensembles must be at least 2")
     quad = _quad_from_args(args)
     model = config.measurement
-    probs = [apply_crosstalk(ideal_probabilities(effective_drive(sa, sb)), model.crosstalk)
-             for sa, sb in quad.pairs()]
+    probs = _closed_form_tables(quad, model.crosstalk)
     s_values = []
     sigmas = []
     for ensemble in range(args.ensembles):
@@ -416,8 +404,8 @@ def _cmd_simulate(args, config: RunConfig) -> int:
     quad = _quad_from_args(args)
     model = config.measurement
     written = []
-    for index, ((sa, sb), (la, lb)) in enumerate(zip(quad.pairs(), PAIR_LABELS)):
-        probs = apply_crosstalk(ideal_probabilities(effective_drive(sa, sb)), model.crosstalk)
+    tables = _closed_form_tables(quad, model.crosstalk)
+    for index, (probs, (la, lb)) in enumerate(zip(tables, PAIR_LABELS)):
         histogram = synthesize_histogram(probs, model, config.seed + index)
         hist_path = out_dir / f"hist_{la}{lb}.csv"
         _write(hist_path, emit_histogram(histogram))
@@ -446,16 +434,17 @@ def _cmd_analyze(args, config: RunConfig) -> int:
         parts = args.normalization.split(",")
         if len(parts) != 4:
             raise _UsageError("--normalization needs four comma-separated factors")
-        normalization = tuple(float(p) for p in parts)
+        try:
+            normalization = tuple(float(p) for p in parts)
+        except ValueError:
+            raise _UsageError("--normalization factors must be numbers") from None
 
     records = []
     for index, path in enumerate(args.files):
         try:
             with open(path, "rb") as handle:
                 histogram = ingest_histogram(handle)
-        except OSError as exc:
-            raise InvalidInputError(f"{path}: {exc}") from None
-        except FreqbinError as exc:
+        except (OSError, FreqbinError) as exc:
             raise InvalidInputError(f"{path}: {exc}") from None
         label = labels[index] if labels else Path(path).stem
         records.append(extract_counts(histogram, tuple(args.peak_window),

@@ -47,24 +47,35 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> RunConfig:
+        """Config from a JSON object; an unknown key or a bad value raises InvalidInputError."""
         base = cls()
-        unknown = set(data) - set(base.to_dict())
+        defaults = base.to_dict()
+        unknown = set(data) - set(defaults)
+        for section in ("truncation", "measurement", "dispersion"):
+            if isinstance(data.get(section), dict):
+                unknown |= {f"{section}.{key}"
+                            for key in set(data[section]) - set(defaults[section])}
         if unknown:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
-        disp = data.get("dispersion", {})
-        overrides = {int(k): float(v) for k, v in (disp.get("per_bin_overrides") or {}).items()}
-        return cls(
-            rf_frequency=float(data.get("rf_frequency", base.rf_frequency)),
-            center_frequency=float(data.get("center_frequency", base.center_frequency)),
-            bins=tuple(int(b) for b in data.get("bins", base.bins)),
-            truncation=TruncationPolicy(**data.get("truncation", {})),
-            measurement=MeasurementModel(**data.get("measurement", {})),
-            dispersion=DispersionProfile(
-                quadratic_coefficient=float(disp.get("quadratic_coefficient", 0.0)),
-                per_bin_overrides=overrides or None,
-            ),
-            seed=int(data.get("seed", base.seed)),
-        )
+        try:
+            disp = data.get("dispersion", {})
+            overrides = {int(k): float(v) for k, v in (disp.get("per_bin_overrides") or {}).items()}
+            return cls(
+                rf_frequency=float(data.get("rf_frequency", base.rf_frequency)),
+                center_frequency=float(data.get("center_frequency", base.center_frequency)),
+                bins=tuple(int(b) for b in data.get("bins", base.bins)),
+                truncation=TruncationPolicy(**data.get("truncation", {})),
+                measurement=MeasurementModel(**data.get("measurement", {})),
+                dispersion=DispersionProfile(
+                    quadratic_coefficient=float(disp.get("quadratic_coefficient", 0.0)),
+                    per_bin_overrides=overrides or None,
+                ),
+                seed=int(data.get("seed", base.seed)),
+            )
+        except InvalidInputError:
+            raise
+        except (AttributeError, OverflowError, TypeError, ValueError) as exc:
+            raise InvalidInputError(f"bad config value: {exc}") from None
 
 
 def load_config(path) -> RunConfig:

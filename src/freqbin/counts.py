@@ -8,8 +8,9 @@ Histogram CSV format (one file per acquisition):
 
 with channel_pair in {EE, EO, OE, OO}; delay bin i covers relative delays
 [i*bin_width, (i+1)*bin_width) seconds and indices must be strictly
-increasing within each channel pair. CountRecord JSON uses the keys
-setting_a, setting_b, duration_s, counts, background.
+increasing within each channel pair, and one file spans at most
+MAX_SPAN_BINS delay bins. CountRecord JSON uses the keys setting_a,
+setting_b, duration_s, counts, background.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ _HEADER_RE = re.compile(r"^#\s*coincidence-histogram v1,\s*bin_width_s=([0-9eE+\
 DEFAULT_BIN_WIDTH_S = 0.5e-9
 DEFAULT_PEAK_WINDOW = (0.0, 2.0e-9)
 DEFAULT_BACKGROUND_WINDOW = (5.0e-9, 4.5e-8)
+
+# Largest delay-bin span ingest_histogram densifies: 8 MB per channel pair.
+# A simulated file spans 200 bins; sparse indices far apart would otherwise
+# allocate memory in proportion to their distance, not to the file's size.
+MAX_SPAN_BINS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -90,14 +96,12 @@ class Histogram:
     """Coincidence counts per channel pair over relative-delay bins.
 
     Arrays share a common span starting at start_index; missing channel pairs
-    mean no events were recorded there. coincidence_window is analysis
-    metadata (None selects the full span) and is not serialized.
+    mean no events were recorded there.
     """
 
     bin_width_s: float
     start_index: int
     counts: dict[str, np.ndarray]
-    coincidence_window: tuple[float, float] | None = None
 
     def __post_init__(self):
         if not self.bin_width_s > 0.0:
@@ -115,12 +119,6 @@ class Histogram:
             lengths.add(arr.size)
         if len(lengths) != 1 or lengths == {0}:
             raise InvalidInputError("channel-pair arrays must share one nonzero length")
-        if self.coincidence_window is None:
-            self.coincidence_window = self.span_s
-        lo, hi = self.coincidence_window
-        span_lo, span_hi = self.span_s
-        if not (span_lo <= lo < hi <= span_hi):
-            raise InvalidInputError("coincidence window must lie within the histogram span")
 
     @property
     def n_bins(self) -> int:
@@ -233,6 +231,9 @@ def ingest_histogram(source) -> Histogram:
 
     lo = min(idx for entries in rows.values() for idx, _ in entries)
     hi = max(idx for entries in rows.values() for idx, _ in entries)
+    if hi - lo + 1 > MAX_SPAN_BINS:
+        raise HistogramFormatError(
+            f"delay bins {lo}..{hi} span {hi - lo + 1} bins, more than {MAX_SPAN_BINS}")
     counts = {}
     for pair, entries in rows.items():
         arr = np.zeros(hi - lo + 1, dtype=np.int64)
@@ -243,14 +244,16 @@ def ingest_histogram(source) -> Histogram:
 
 
 def _read_text(source) -> str:
-    if isinstance(source, bytes):
-        return source.decode("utf-8")
-    if isinstance(source, str):
-        return source
-    if hasattr(source, "read"):
-        data = source.read()
-        return data.decode("utf-8") if isinstance(data, bytes) else data
-    raise InvalidInputError(f"cannot read histogram from {type(source)!r}")
+    data = source.read() if hasattr(source, "read") else source
+    if isinstance(data, str):
+        return data
+    if not isinstance(data, bytes):
+        raise InvalidInputError(f"cannot read histogram from {type(source)!r}")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise HistogramFormatError("not UTF-8 text",
+                                   line=data.count(b"\n", 0, exc.start) + 1) from None
 
 
 def extract_counts(histogram: Histogram,
@@ -341,39 +344,47 @@ def chsh_estimate(records, subtract: bool = True,
                   ) -> tuple[float, float, tuple[float, float, float, float]]:
     """CHSH estimate from four CountRecords ordered (A0B0, A0B1, A1B0, A1B1).
 
-    Per pair, C = N^- / N^+ with N^{+-} = (EE + OO) +- (EO + OE) from net
-    counts; S = C00 + C01 + C10 - C11. sigma via the delta method on
-    independent Poisson counts, treating the recorded background means as
-    known. The optional per-outcome normalization factors divide the net
-    counts (modulation-off calibration); default is no rescaling.
+    S = C00 + C01 + C10 - C11 with each C from correlator_estimate, and
+    sigma_s from the sum of their variances.
     """
     records = list(records)
     if len(records) != 4:
         raise InvalidInputError("chsh_estimate needs exactly 4 records (00, 01, 10, 11)")
+    estimates = [correlator_estimate(rec, subtract, normalization) for rec in records]
+    c_values = tuple(c for c, _ in estimates)
+    s = c_values[0] + c_values[1] + c_values[2] - c_values[3]
+    sigma_s = math.sqrt(sum(var for _, var in estimates))
+    return s, sigma_s, c_values
+
+
+def correlator_estimate(record: CountRecord, subtract: bool,
+                        normalization: tuple[float, float, float, float] | None
+                        ) -> tuple[float, float]:
+    """One setting pair's correlator C = N^- / N^+ and its variance.
+
+    N^{+-} = (EE + OO) +- (EO + OE) from net counts (raw counts when not
+    subtract). The variance is the delta method on independent Poisson
+    counts, treating the recorded background means as known. The optional
+    per-outcome normalization factors divide the counts (modulation-off
+    calibration); None means no rescaling.
+    """
     if normalization is None:
         normalization = (1.0, 1.0, 1.0, 1.0)
-    if len(normalization) != 4 or any(f <= 0.0 for f in normalization):
-        raise InvalidInputError("normalization needs 4 positive factors")
-    c_values = []
-    variances = []
-    for rec in records:
-        raw = rec.counts()
-        values = rec.net_counts() if subtract else tuple(float(c) for c in raw)
-        values = [v / f for v, f in zip(values, normalization)]
-        var = [r / f**2 for r, f in zip(raw, normalization)]
-        same = values[0] + values[3]
-        cross = values[1] + values[2]
-        var_same = var[0] + var[3]
-        var_cross = var[1] + var[2]
-        n_plus = same + cross
-        if n_plus <= 0.0:
-            raise EstimatorError("non-positive net denominator N+ for "
-                                 f"settings {rec.setting_labels}")
-        c_values.append((same - cross) / n_plus)
-        variances.append(4.0 * (cross**2 * var_same + same**2 * var_cross) / n_plus**4)
-    s = c_values[0] + c_values[1] + c_values[2] - c_values[3]
-    sigma_s = math.sqrt(sum(variances))
-    return s, sigma_s, tuple(c_values)
+    if len(normalization) != 4 or not all(0.0 < f < math.inf for f in normalization):
+        raise InvalidInputError("normalization needs 4 positive finite factors")
+    raw = record.counts()
+    values = record.net_counts() if subtract else tuple(float(c) for c in raw)
+    values = [v / f for v, f in zip(values, normalization)]
+    var = [r / f**2 for r, f in zip(raw, normalization)]
+    same = values[0] + values[3]
+    cross = values[1] + values[2]
+    var_same = var[0] + var[3]
+    var_cross = var[1] + var[2]
+    n_plus = same + cross
+    if n_plus <= 0.0:
+        raise EstimatorError("non-positive net denominator N+ for "
+                             f"settings {record.setting_labels}")
+    return (same - cross) / n_plus, 4.0 * (cross**2 * var_same + same**2 * var_cross) / n_plus**4
 
 
 def crosstalk_for_visibility(amplitude: float, target: float, *, tol: float = 1e-12) -> float:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InvalidInputError
 
 TWO_PI = 2.0 * math.pi
@@ -84,10 +86,13 @@ class DispersionProfile:
     quadratic_coefficient: float = 0.0
     per_bin_overrides: dict[int, float] | None = None
 
-    def phase_at(self, n: int) -> float:
-        if self.per_bin_overrides and n in self.per_bin_overrides:
-            return self.per_bin_overrides[n]
-        return self.quadratic_coefficient * float(n) * float(n)
+    def phases(self, bins) -> np.ndarray:
+        """Phase in radians at each bin index in bins."""
+        n = np.asarray(bins, dtype=float)
+        out = self.quadratic_coefficient * n * n
+        for bin_index, phase in (self.per_bin_overrides or {}).items():
+            out[n == bin_index] = phase
+        return out
 
     def is_zero(self) -> bool:
         return self.quadratic_coefficient == 0.0 and not self.per_bin_overrides

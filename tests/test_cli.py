@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freqbin import RunConfig, bessel_j, load_config
 from freqbin.cli import main
@@ -23,6 +24,18 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
     return header, rows
+
+
+_LEAVES = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+JSON_VALUES = (_LEAVES | st.lists(_LEAVES, max_size=3)
+               | st.dictionaries(st.text(max_size=2) | st.integers(-3, 3).map(str), _LEAVES,
+                                 max_size=2))
+CONFIG_KEYS = sorted(RunConfig().to_dict()) + ["foo"]
+# a config section: its known keys and a stray one
+CONFIG_SECTIONS = st.dictionaries(
+    st.sampled_from(sorted({key for section in RunConfig().to_dict().values()
+                            if isinstance(section, dict) for key in section}) + ["foo"]),
+    JSON_VALUES, max_size=3)
 
 
 class TestConfig:
@@ -43,6 +56,22 @@ class TestConfig:
         path.write_text(json.dumps({"sedd": 1}))
         with pytest.raises(InvalidInputError):
             load_config(path)
+
+    def test_bad_nested_key_and_value_rejected(self, tmp_path, capsys):
+        for data in ({"truncation": {"foo": 1}}, {"bins": "ab"}):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(data))
+            assert run_cli("chsh", "finite", "--config", str(path)) == 3
+            assert "config" in capsys.readouterr().err
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.sampled_from(CONFIG_KEYS), JSON_VALUES | CONFIG_SECTIONS, max_size=4))
+    def test_from_dict_is_total(self, data):
+        try:
+            config = RunConfig.from_dict(data)
+        except InvalidInputError:
+            return
+        assert isinstance(config, RunConfig)
 
     def test_parse_bins(self):
         assert parse_bins("1,2,3") == (1, 2, 3)
@@ -137,6 +166,9 @@ class TestChshCommands:
         assert lines[0] == "pair,theory,experiment,sigma"
         assert lines[-1].startswith("S,")
         assert (tmp_path / "eval.csv.run.json").exists()
+        # the per-pair sigmas come from the estimator that gives sigma_s
+        sigmas = [float(line.split(",")[3]) for line in lines[1:]]
+        assert sum(sig**2 for sig in sigmas[:4]) == pytest.approx(sigmas[4] ** 2, rel=1e-10)
 
     def test_optimize(self, tmp_path, capsys):
         out = tmp_path / "opt.json"
@@ -214,6 +246,9 @@ class TestSimulateAnalyze:
         captured = capsys.readouterr()
         assert code == 3
         assert "line 3" in captured.err
+        bad.write_bytes(b"# coincidence-histogram v1, bin_width_s=5e-10\nEE,0,3\nEE,1,\xff\n")
+        assert run_cli("analyze", str(bad), str(bad), str(bad), str(bad)) == 3
+        assert "line 3: not UTF-8" in capsys.readouterr().err
 
     def test_background_only_is_data_error(self, tmp_path, capsys):
         flat = tmp_path / "flat.csv"
@@ -284,6 +319,7 @@ class TestSimulateAnalyze:
         s_norm = json.loads(out_norm.read_text())["results"]["s"]
         assert abs(s_plain - s_norm) < 1e-12
         assert run_cli("analyze", *files, "--normalization", "1,2") == 2
+        assert run_cli("analyze", *files, "--normalization", "1,1,1,x") == 2
         capsys.readouterr()
 
     def test_analyze_csv_format(self, tmp_path, capsys):

@@ -12,7 +12,7 @@ from freqbin import (CountRecord, EstimatorError, Histogram, HistogramFormatErro
                      effective_drive, emit_histogram, extract_counts, ideal_probabilities,
                      ingest_histogram, chsh_optimal_quad, simulate_counts, synthesize_histogram,
                      visibility)
-from freqbin.counts import DEFAULT_BACKGROUND_WINDOW, DEFAULT_PEAK_WINDOW, OUTCOMES
+from freqbin.counts import DEFAULT_BACKGROUND_WINDOW, DEFAULT_PEAK_WINDOW, MAX_SPAN_BINS, OUTCOMES
 
 CORRELATED = ProbTable(0.5, 0.0, 0.0, 0.5)
 
@@ -105,6 +105,22 @@ class TestHistogramFormat:
             ingest_histogram(header + "EE,0.5,1\n")
         with pytest.raises(HistogramFormatError):
             ingest_histogram(header)
+
+    def test_non_utf8_names_line(self):
+        data = b"# coincidence-histogram v1, bin_width_s=5e-10\nEE,0,3\nEE,1,\xff\n"
+        for source in (data, io.BytesIO(data)):
+            with pytest.raises(HistogramFormatError) as excinfo:
+                ingest_histogram(source)
+            assert excinfo.value.line == 3
+
+    def test_span_cap(self):
+        header = "# coincidence-histogram v1, bin_width_s=5e-10\n"
+        widest = ingest_histogram(header + f"EE,0,1\nOO,{MAX_SPAN_BINS - 1},1\n")
+        assert widest.n_bins == MAX_SPAN_BINS
+        with pytest.raises(HistogramFormatError, match="span"):
+            ingest_histogram(header + f"EE,0,1\nEE,{MAX_SPAN_BINS},1\n")
+        with pytest.raises(HistogramFormatError, match="span"):
+            ingest_histogram(header + "EE,-3,1\nOO,1000000000000,1\n")
 
     def test_roundtrip_identity_random(self):
         rng = np.random.default_rng(77)
@@ -314,6 +330,12 @@ class TestChshEstimate:
                                      normalization=(1.5, 1.0, 1.0, 1.5))
         # deflating the diagonal outcomes lowers C = (same - cross) / (same + cross)
         assert c_norm[0] < c_plain[0]
+
+    def test_normalization_factors_positive_and_finite(self):
+        records = self.proportional_records()
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InvalidInputError, match="normalization"):
+                chsh_estimate(records, normalization=(1.0, 1.0, 1.0, bad))
 
     def test_estimator_consistency_long_duration(self):
         chi = 0.02

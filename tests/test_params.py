@@ -42,9 +42,8 @@ class TestBinWindow:
 class TestDispersionProfile:
     def test_quadratic_and_override(self):
         profile = DispersionProfile(quadratic_coefficient=0.1, per_bin_overrides={3: 2.5})
-        assert profile.phase_at(2) == pytest.approx(0.4)
-        assert profile.phase_at(-2) == pytest.approx(0.4)
-        assert profile.phase_at(3) == 2.5
+        assert profile.phases([2, -2, 3]).tolist() == pytest.approx([0.4, 0.4, 2.5])
+        assert profile.phases([3])[0] == 2.5
         assert not profile.is_zero()
         assert DispersionProfile().is_zero()
 
