@@ -4,22 +4,31 @@ In the closed-form model every correlator is E_ij = J_0(2 D_ij) with D_ij the
 effective drive of the setting pair, so S = E00 + E01 + E10 - E11. The
 symmetric reduction D00 = D01 = D10 = D11 / 3 collapses the search to one
 amplitude, S(c) = 3 J_0(4c) - J_0(12c); the general 8-parameter search is kept
-as a numerical check of that structure.
+as a numerical check of that structure. It runs multi-start L-BFGS-B on the
+analytic gradient: with D^2 = a^2 + b^2 + 2ab cos(alpha - beta) per pair,
+dJ_0(2D)/d(D^2) = -J_1(2D)/D, and the partials of D^2 are closed-form.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import bessel_j
+from .bessel import X_MAX, bessel_j
 from .binspace import parity_tables
 from .closedform import EffectiveDrive, effective_drive
 from .errors import InvalidInputError, OptimizationError
 from .params import DispersionProfile, MeasurementModel, ModulationSetting, TruncationPolicy
 
 PAIR_LABELS = (("A0", "B0"), ("A0", "B1"), ("A1", "B0"), ("A1", "B1"))
+MAX_AMPLITUDE_BOUND = X_MAX / 4.0  # 2D <= 4 * bound must stay in the Bessel domain
+
+# x = (a0, a1, b0, b1, alpha0, alpha1, beta0, beta1): amplitude indices of each
+# correlator's (Alice, Bob) settings in order 00, 01, 10, 11; phases sit 4 further on
+_PAIR_INDICES = ((0, 2), (0, 3), (1, 2), (1, 3))
+_CHSH_SIGNS = (1.0, 1.0, 1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -107,28 +116,22 @@ def optimize_general(initial: SettingQuad,
                      amplitude_bound: float = 1.5,
                      restarts: int = 20,
                      seed: int = 0) -> tuple[SettingQuad, ChshReport]:
-    """Seeded multi-start Nelder-Mead over all 8 setting parameters.
+    """Seeded multi-start L-BFGS-B on the analytic gradient of S over all 8 setting parameters.
 
-    Reports the best quad found (never raises on a poor run), gauge-fixed so
-    that alpha_0 = 0.
+    The first start is initial, the other restarts - 1 are uniform draws from
+    the bounds. Reports the best quad found (never raises on a poor run),
+    gauge-fixed so that alpha_0 = 0. amplitude_bound must lie in
+    [1, MAX_AMPLITUDE_BOUND], where every drive 2D <= 4 * bound stays inside
+    the validated Bessel domain.
     """
     from scipy.optimize import minimize
 
-    if amplitude_bound < 1.0:
-        raise InvalidInputError("amplitude_bound must be >= 1")
+    if not 1.0 <= amplitude_bound <= MAX_AMPLITUDE_BOUND:  # also rejects nan
+        raise InvalidInputError(f"amplitude_bound must lie in [1, {MAX_AMPLITUDE_BOUND}]")
     if restarts < 1:
         raise InvalidInputError("restarts must be >= 1")
 
     two_pi = 2.0 * np.pi
-
-    def unpack(x) -> SettingQuad:
-        a0, a1, b0, b1, al0, al1, be0, be1 = x
-        return SettingQuad(a0=ModulationSetting(a0, al0), a1=ModulationSetting(a1, al1),
-                           b0=ModulationSetting(b0, be0), b1=ModulationSetting(b1, be1))
-
-    def neg_s(x) -> float:
-        return -chsh_ideal(unpack(x)).s_value
-
     rng = np.random.default_rng(seed)
     starts = [np.array([initial.a0.amplitude, initial.a1.amplitude,
                         initial.b0.amplitude, initial.b1.amplitude,
@@ -139,20 +142,40 @@ def optimize_general(initial: SettingQuad,
                                       rng.uniform(0.0, two_pi, 4)]))
 
     bounds = [(0.0, amplitude_bound)] * 4 + [(-two_pi, 2.0 * two_pi)] * 4
-    options = {"xatol": 1e-10, "fatol": 1e-13, "maxiter": 8000, "maxfev": 8000}
-    best = None
-    for x0 in starts:
-        res = minimize(neg_s, x0, method="Nelder-Mead", bounds=bounds, options=options)
-        if best is None or res.fun < best.fun:
-            best = res
-    polish = minimize(neg_s, best.x, method="Nelder-Mead", bounds=bounds, options=options)
-    if polish.fun < best.fun:
-        best = polish
+    options = {"ftol": 1e-15, "gtol": 1e-11, "maxiter": 1000}
+    best = min((minimize(_neg_chsh_and_gradient, x0, jac=True, method="L-BFGS-B",
+                         bounds=bounds, options=options) for x0 in starts),
+               key=lambda res: res.fun)
 
     x = best.x.copy()
     x[4:] -= x[4]  # gauge: report with alpha_0 = 0
-    quad = unpack(x)
+    a0, a1, b0, b1, al0, al1, be0, be1 = x
+    quad = SettingQuad(a0=ModulationSetting(a0, al0), a1=ModulationSetting(a1, al1),
+                       b0=ModulationSetting(b0, be0), b1=ModulationSetting(b1, be1))
     return quad, chsh_ideal(quad)
+
+
+def _neg_chsh_and_gradient(x) -> tuple[float, np.ndarray]:
+    """-S and its gradient at x = (a0, a1, b0, b1, alpha0, alpha1, beta0, beta1).
+
+    Each pair has D^2 = a^2 + b^2 + 2ab cos(alpha - beta) and E = J_0(2D), so
+    dE/d(D^2) = -J_1(2D)/D, which tends to -1 as D -> 0.
+    """
+    v = x.tolist()
+    s = 0.0
+    grad = [0.0] * 8
+    for sign, (i, j) in zip(_CHSH_SIGNS, _PAIR_INDICES):
+        a, b, diff = v[i], v[j], v[i + 4] - v[j + 4]
+        cos_diff = math.cos(diff)
+        d = math.sqrt(max(a * a + b * b + 2.0 * a * b * cos_diff, 0.0))
+        s += sign * bessel_j(0, 2.0 * d)
+        slope = sign * (-bessel_j(1, 2.0 * d) / d if d else -1.0)  # sign * dE/d(D^2)
+        grad[i] += 2.0 * slope * (a + b * cos_diff)
+        grad[j] += 2.0 * slope * (b + a * cos_diff)
+        phase_term = 2.0 * slope * a * b * math.sin(diff)
+        grad[i + 4] -= phase_term
+        grad[j + 4] += phase_term
+    return -s, -np.array(grad)
 
 
 def chsh_finite(quad: SettingQuad,

@@ -29,6 +29,8 @@ class RunConfig:
             raise InvalidInputError("rf_frequency must be positive")
         if not self.bins:
             raise InvalidInputError("bins must be non-empty")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
 
     def to_dict(self) -> dict:
         overrides = self.dispersion.per_bin_overrides or {}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -10,6 +11,7 @@ import numpy as np
 from .errors import InvalidInputError
 
 TWO_PI = 2.0 * math.pi
+MAX_ORDER_CAP = 1000  # largest max_order: the sideband search evaluates every order up to the cap
 
 
 def canonical_phase(phase: float) -> float:
@@ -32,8 +34,10 @@ class TruncationPolicy:
     def __post_init__(self):
         if not self.epsilon > 0.0:
             raise InvalidInputError("epsilon must be positive")
-        if self.max_order < 1:
-            raise InvalidInputError("max_order must be at least 1")
+        if isinstance(self.max_order, bool) or not isinstance(self.max_order, numbers.Integral):
+            raise InvalidInputError(f"max_order must be an integer, got {self.max_order!r}")
+        if not 1 <= self.max_order <= MAX_ORDER_CAP:
+            raise InvalidInputError(f"max_order must lie in [1, {MAX_ORDER_CAP}]")
 
 
 @dataclass(frozen=True)

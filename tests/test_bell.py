@@ -9,8 +9,10 @@ from freqbin import (DispersionProfile, InvalidInputError, MeasurementModel, Mod
                      OptimizationError, SettingQuad, WindowBoundError, chsh_finite, chsh_ideal,
                      optimize_general, optimize_symmetric, chsh_optimal_quad, symmetric_chsh,
                      symmetric_quad)
+from freqbin.bell import _neg_chsh_and_gradient
 
 S_MAX_THEORY = 2.5664949013225584  # 3 J_0(4c*) - J_0(12c*) at the optimal amplitude
+S_STAR = 2.566494962149  # the same maximum at c* = 0.231844 to 1e-12
 
 
 def zero_quad():
@@ -126,6 +128,61 @@ class TestOptimizeGeneral:
             optimize_general(zero_quad(), 0.5, 5, 0)
         with pytest.raises(InvalidInputError):
             optimize_general(zero_quad(), 1.5, 0, 0)
+
+
+def quad_from_vector(x):
+    return SettingQuad(*(ModulationSetting(x[k], x[k + 4]) for k in range(4)))
+
+
+def central_gradient(x, step=1e-6):
+    return np.array([(_neg_chsh_and_gradient(x + step * e)[0]
+                       - _neg_chsh_and_gradient(x - step * e)[0]) / (2 * step)
+                      for e in np.eye(8)])
+
+
+class TestGradientSearch:
+    """The analytic -S and -dS/dx that optimize_general's L-BFGS-B runs on."""
+
+    def random_points(self, count, seed):
+        rng = np.random.default_rng(seed)
+        return [np.concatenate([rng.uniform(0.0, 1.5, 4), rng.uniform(-2 * math.pi, 4 * math.pi, 4)])
+                for _ in range(count)]
+
+    def test_gradient_matches_central_differences(self):
+        points = self.random_points(200, 17)
+        rng = np.random.default_rng(18)
+        for _ in range(20):  # every amplitude on the bound
+            points.append(np.concatenate([np.full(4, 1.5), rng.uniform(0.0, 2 * math.pi, 4)]))
+        points.append(np.zeros(8))  # D = 0 for every pair
+        points.append(np.array([0.4, 0.4, 0.4, 0.4, 0.0, math.pi, math.pi, 0.0]))  # D00 = D11 = 0
+        for x in points:
+            _, grad = _neg_chsh_and_gradient(x)
+            assert np.max(np.abs(grad - central_gradient(x))) < 1e-7
+
+    def test_objective_is_minus_chsh_ideal(self):
+        for x in self.random_points(500, 19):
+            value, _ = _neg_chsh_and_gradient(x)
+            assert abs(value + chsh_ideal(quad_from_vector(x)).s_value) <= 1e-14
+
+    def test_same_seed_same_quad(self):
+        first = optimize_general(zero_quad(), 1.5, restarts=5, seed=42)
+        second = optimize_general(zero_quad(), 1.5, restarts=5, seed=42)
+        assert first == second
+
+    def test_every_seed_reaches_the_optimum(self):
+        for seed in range(20):
+            quad, report = optimize_general(zero_quad(), 1.5, restarts=20, seed=seed)
+            assert abs(report.s_value - S_STAR) <= 1e-9
+            ds = [drive.d for drive in report.drives]
+            assert abs(ds[3] / ds[0] - 3.0) <= 1e-2
+            assert quad.a0.phase == 0.0
+
+    def test_amplitude_bound_outside_bessel_domain_rejected(self):
+        for bound in (math.nan, math.inf, 20.0, 12.6):
+            with pytest.raises(InvalidInputError):
+                optimize_general(zero_quad(), bound, 2, 0)
+        quad, _ = optimize_general(zero_quad(), 12.5, 2, 0)  # 2D <= 50 everywhere
+        assert max(s.amplitude for s in (quad.a0, quad.a1, quad.b0, quad.b1)) <= 12.5
 
 
 class TestChshFinite:

@@ -64,6 +64,15 @@ class TestConfig:
             assert run_cli("chsh", "finite", "--config", str(path)) == 3
             assert "config" in capsys.readouterr().err
 
+    def test_max_order_must_be_a_bounded_integer(self, tmp_path, capsys):
+        for max_order in (2.5, True, 1001):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"truncation": {"max_order": max_order}}))
+            assert run_cli("chsh", "finite", "--config", str(path)) == 3
+            assert "max_order" in capsys.readouterr().err
+        assert run_cli("chsh", "finite", "--max-order", "5000") == 3
+        assert "max_order" in capsys.readouterr().err
+
     @settings(max_examples=100, deadline=None)
     @given(st.dictionaries(st.sampled_from(CONFIG_KEYS), JSON_VALUES | CONFIG_SECTIONS, max_size=4))
     def test_from_dict_is_total(self, data):
@@ -176,6 +185,17 @@ class TestChshCommands:
         capsys.readouterr()
         payload = json.loads(out.read_text())
         assert abs(payload["results"]["symmetric"]["c_star"] - 0.2318) <= 1e-3
+
+    def test_optimize_general_byte_identical_reruns(self, tmp_path, capsys):
+        texts = []
+        for name in ("first.json", "second.json"):
+            out = tmp_path / name
+            assert run_cli("chsh", "optimize", "--general", "--seed", "7", "--out", str(out)) == 0
+            texts.append(out.read_bytes())
+        capsys.readouterr()
+        assert texts[0] == texts[1]
+        general = json.loads(texts[0])["results"]["general"]
+        assert abs(general["s"] - 2.566494962149) <= 1e-9
 
     def test_finite_matches_golden(self, tmp_path, capsys, golden):
         out = tmp_path / "finite.json"
@@ -357,6 +377,18 @@ class TestExitCodes:
     def test_window_past_bin_bound_is_data_error(self, capsys):
         assert run_cli("chsh", "finite", "--bins=-500..500", "--a1", "1.5") == 3
         assert "exceeds |bin| <= 512" in capsys.readouterr().err
+
+    def test_negative_seed_is_data_error(self, tmp_path, capsys):
+        for argv in (("chsh", "eval"), ("simulate", "--out", str(tmp_path)),
+                     ("chsh", "montecarlo", "--ensembles", "2")):
+            assert run_cli(*argv, "--seed", "-1") == 3
+            assert "seed must be >= 0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_bad_amplitude_bound_is_data_error(self, capsys):
+        for bound in ("nan", "inf", "20"):
+            assert run_cli("chsh", "optimize", "--general", "--amplitude-bound", bound) == 3
+            assert "amplitude_bound" in capsys.readouterr().err
 
     def test_probability_sum_fault_is_data_error(self, monkeypatch, capsys):
         from freqbin import binspace

@@ -2,10 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from freqbin import (BinWindow, DispersionProfile, InvalidInputError, MeasurementModel,
                      ModulationSetting, TruncationPolicy, crosstalk_from_extinction_db)
+from freqbin.params import MAX_ORDER_CAP
 
 
 class TestModulationSetting:
@@ -71,6 +73,13 @@ class TestTruncationPolicy:
             TruncationPolicy(epsilon=0.0)
         with pytest.raises(InvalidInputError):
             TruncationPolicy(max_order=0)
+
+    def test_max_order_is_a_bounded_integer(self):
+        for bad in (2.5, 64.0, True, "64", MAX_ORDER_CAP + 1):
+            with pytest.raises(InvalidInputError):
+                TruncationPolicy(max_order=bad)
+        assert TruncationPolicy(max_order=MAX_ORDER_CAP).max_order == MAX_ORDER_CAP
+        assert TruncationPolicy(max_order=np.int64(8)).max_order == 8
 
 
 def test_crosstalk_from_extinction():
