@@ -12,6 +12,7 @@ dJ_0(2D)/d(D^2) = -J_1(2D)/D, and the partials of D^2 are closed-form.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,14 +123,17 @@ def optimize_general(initial: SettingQuad,
     the bounds. Reports the best quad found (never raises on a poor run),
     gauge-fixed so that alpha_0 = 0. amplitude_bound must lie in
     [1, MAX_AMPLITUDE_BOUND], where every drive 2D <= 4 * bound stays inside
-    the validated Bessel domain.
+    the validated Bessel domain; restarts must be an integer >= 1 and seed an
+    integer >= 0 (bool is neither).
     """
     from scipy.optimize import minimize
 
     if not 1.0 <= amplitude_bound <= MAX_AMPLITUDE_BOUND:  # also rejects nan
         raise InvalidInputError(f"amplitude_bound must lie in [1, {MAX_AMPLITUDE_BOUND}]")
-    if restarts < 1:
-        raise InvalidInputError("restarts must be >= 1")
+    if not _is_int(restarts) or restarts < 1:
+        raise InvalidInputError(f"restarts must be an integer >= 1, got {restarts!r}")
+    if not _is_int(seed) or seed < 0:
+        raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
 
     two_pi = 2.0 * np.pi
     rng = np.random.default_rng(seed)
@@ -153,6 +157,10 @@ def optimize_general(initial: SettingQuad,
     quad = SettingQuad(a0=ModulationSetting(a0, al0), a1=ModulationSetting(a1, al1),
                        b0=ModulationSetting(b0, be0), b1=ModulationSetting(b1, be1))
     return quad, chsh_ideal(quad)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _neg_chsh_and_gradient(x) -> tuple[float, np.ndarray]:

@@ -1,6 +1,7 @@
 """Integer-order Bessel functions of the first kind with controlled error.
 
-Two evaluation regimes cover the validated domain |x| <= 50:
+bessel_j evaluates one order at a time, in two regimes over the validated
+domain |x| <= 50:
 
 * ascending power series when the argument is small (|x| <= 5) or the order
   dominates the argument (4*order >= x**2), where the alternating series
@@ -10,6 +11,9 @@ Two evaluation regimes cover the validated domain |x| <= 50:
 
 The test suite pins the absolute accuracy at 1e-12 against a high-precision
 oracle; in practice both regimes sit near 1e-14.
+
+The sideband kernel takes J_0 .. J_P from one Miller pass at every amplitude,
+started just above the order its tail test needs.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ _MILLER_PAD = 40      # downward-recurrence start above max(order, x); see test 
 _RESCALE_LIMIT = 1e250
 _SERIES_MAX_TERMS = 400
 _TAIL_MARGIN = 30     # orders examined beyond the cap when locating the tail cut
+_MILLER_X_MIN = 1e-20  # below: J_p = (x/2)**p / p! in double precision, and 2p/x could overflow
 
 
 def bessel_j(order: int, x: float) -> float:
@@ -34,8 +39,7 @@ def bessel_j(order: int, x: float) -> float:
     Negative orders and arguments are reduced through the reflection
     identities J_{-p}(x) = (-1)**p J_p(x) and J_p(-x) = (-1)**p J_p(x).
     """
-    if not math.isfinite(x) or abs(x) > X_MAX:
-        raise BesselDomainError(f"|x| = {abs(x)!r} outside validated domain |x| <= {X_MAX}")
+    _check_domain(x)
     n = abs(int(order))
     sign = 1.0
     if order < 0 and n % 2 == 1:
@@ -48,6 +52,11 @@ def bessel_j(order: int, x: float) -> float:
     if ax <= _SERIES_X_MAX or 4.0 * n >= ax * ax:
         return sign * _series(n, ax)
     return sign * _miller(n, ax)[n]
+
+
+def _check_domain(x: float) -> None:
+    if not math.isfinite(x) or abs(x) > X_MAX:
+        raise BesselDomainError(f"|x| = {abs(x)!r} outside validated domain |x| <= {X_MAX}")
 
 
 def _series(n: int, x: float) -> float:
@@ -70,9 +79,19 @@ def _series(n: int, x: float) -> float:
     raise RuntimeError(f"Bessel series did not converge for J_{n}({x})")
 
 
-def _miller(n_max: int, x: float) -> list[float]:
-    """J_0(x) .. J_{n_max}(x) by backward recurrence, for 5 < x <= 50."""
-    m = max(n_max, int(math.ceil(x))) + _MILLER_PAD
+def _miller(n_max: int, x: float, pad: int = _MILLER_PAD) -> list[float]:
+    """J_0(x) .. J_{n_max}(x) by backward recurrence, for 0 <= x <= 50.
+
+    The recurrence starts pad orders above max(n_max, x); the default keeps
+    every returned order accurate, a smaller pad only the orders well below
+    the start.
+    """
+    if x < _MILLER_X_MIN:
+        out = [1.0]
+        for p in range(1, n_max + 1):
+            out.append(out[-1] * (0.5 * x) / p)
+        return out
+    m = max(n_max, int(math.ceil(x))) + pad
     out = [0.0] * (n_max + 1)
     jnext = 0.0     # running J~_{p+1}
     jcur = 1e-30    # running J~_p, seeded at p = m
@@ -106,18 +125,32 @@ def _sideband_amplitudes(c: float, policy: TruncationPolicy) -> list[float]:
 
     The tail is accumulated directly from small terms upward, so tolerances
     far below double-precision resolution of (1 - partial sum) stay meaningful.
+    One Miller pass up to order n gives the amplitudes. n is where the bound
+    |J_n(c)| <= (c/2)**n / n! puts J_n**2 1e-20 below both the tolerance and
+    the 1e-16 resolution of the normalization sum; past n > c the bound halves
+    per order, so the orders above n cannot move the tail test or the kept
+    amplitudes, and the pass keeps the order, or raises the cap error, that a
+    scan of every order up to max_order + _TAIL_MARGIN would.
     """
     if c < 0.0:
         raise InvalidInputError("modulation amplitude must be >= 0")
+    _check_domain(c)
+    tol = policy.epsilon * policy.epsilon
     top = policy.max_order + _TAIL_MARGIN
-    js = [bessel_j(p, c) for p in range(top + 1)]
-    tails = [0.0] * (top + 1)  # tails[P] = 2 * sum_{p > P} J_p^2
+    goal = 1e-20 * min(tol, 1e-16)
+    n, bound = 0, 1.0
+    while n < top and bound * bound > goal:
+        n += 1
+        bound *= 0.5 * c / n
+    # a pass seeded just above n is inexact only in its top orders; when the
+    # bound is cut at top, every order up to it must be exact
+    js = _miller(n, c, 1 if n < top else _MILLER_PAD)
+    tails = [0.0] * (n + 1)  # tails[P] = 2 * sum_{P < p <= n} J_p^2
     acc = 0.0
-    for p in range(top, 0, -1):
+    for p in range(n, 0, -1):
         acc += 2.0 * js[p] * js[p]
         tails[p - 1] = acc
-    tol = policy.epsilon * policy.epsilon
-    for order in range(policy.max_order + 1):
+    for order in range(min(policy.max_order, n) + 1):
         if tails[order] <= tol:
             return js[:order + 1]
     raise TruncationCapError(

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import InvalidInputError
 
 TWO_PI = 2.0 * math.pi
-MAX_ORDER_CAP = 1000  # largest max_order: the sideband search evaluates every order up to the cap
+MAX_ORDER_CAP = 1000  # largest max_order: a cap error may take a Miller pass over cap + 70 orders
 
 
 def canonical_phase(phase: float) -> float:

@@ -129,6 +129,17 @@ class TestOptimizeGeneral:
         with pytest.raises(InvalidInputError):
             optimize_general(zero_quad(), 1.5, 0, 0)
 
+    @pytest.mark.parametrize("restarts, seed", [(5, -1), (5, 1.5), (2.5, 0), (True, 0),
+                                                 (5, True), (5, "3"), ("5", 0)])
+    def test_restarts_and_seed_must_be_integers(self, restarts, seed):
+        # library callers get the checks the CLI's argparse types and RunConfig give
+        with pytest.raises(InvalidInputError):
+            optimize_general(zero_quad(), 1.5, restarts, seed)
+
+    def test_numpy_integers_accepted(self):
+        quad, _ = optimize_general(zero_quad(), 1.5, np.int64(1), np.int64(3))
+        assert quad == optimize_general(zero_quad(), 1.5, 1, 3)[0]
+
 
 def quad_from_vector(x):
     return SettingQuad(*(ModulationSetting(x[k], x[k + 4]) for k in range(4)))

@@ -12,6 +12,7 @@ import pytest
 
 from freqbin import (BesselDomainError, InvalidInputError, TruncationCapError, TruncationPolicy,
                      bessel_j, jacobi_anger_residual, truncation_order)
+from freqbin.bessel import _miller, _sideband_amplitudes
 
 mp.mp.dps = 40
 
@@ -105,6 +106,111 @@ class TestBesselJ:
             bessel_j(0, float("nan"))
         with pytest.raises(BesselDomainError):
             bessel_j(0, float("inf"))
+
+
+def oracle_sideband_amplitudes(c, policy):
+    """Per-order reference for _sideband_amplitudes: J_p(c) from bessel_j for every
+    order up to max_order + 30, then the tail test. Past c the amplitudes fall by
+    half or more per order, so the scan stops once 2 J_p^2 is 1e-40 below the
+    tolerance (or 0): the orders above it cannot move a tail compared with it."""
+    if c < 0.0:
+        raise InvalidInputError("modulation amplitude must be >= 0")
+    top = policy.max_order + 30
+    tol = policy.epsilon * policy.epsilon
+    js = []
+    for p in range(top + 1):
+        js.append(bessel_j(p, c))
+        if p > c and 2.0 * js[-1] * js[-1] <= 1e-40 * tol:
+            break
+    js += [0.0] * (top + 1 - len(js))
+    tails = [0.0] * (top + 1)  # tails[P] = 2 * sum_{p > P} J_p^2
+    acc = 0.0
+    for p in range(top, 0, -1):
+        acc += 2.0 * js[p] * js[p]
+        tails[p - 1] = acc
+    for order in range(policy.max_order + 1):
+        if tails[order] <= tol:
+            return js[:order + 1]
+    raise TruncationCapError("cap", residual=tails[policy.max_order], order=policy.max_order)
+
+
+def amplitude_outcome(fn, c, policy):
+    """("ok", amplitudes) or (error type, cap order or None, cap residual or None)."""
+    try:
+        return ("ok", fn(c, policy))
+    except (BesselDomainError, InvalidInputError, TruncationCapError) as exc:
+        return (type(exc), getattr(exc, "order", None), getattr(exc, "residual", None))
+
+
+def assert_same_outcome(c, policy):
+    got = amplitude_outcome(_sideband_amplitudes, c, policy)
+    want = amplitude_outcome(oracle_sideband_amplitudes, c, policy)
+    case = f"c={c!r} epsilon={policy.epsilon!r} max_order={policy.max_order}"
+    assert got[0] == want[0], case
+    if want[0] == "ok":
+        assert len(got[1]) == len(want[1]), case  # same kept order
+        assert max(abs(a - b) for a, b in zip(got[1], want[1])) <= 1e-15, case
+    else:
+        assert got[1] == want[1], case
+        if want[2] is not None:
+            # bessel_j's series stops at an absolute 1e-18, so its tiny orders are
+            # only good to ~1e-6 relative; a wrong tail would be off by far more
+            assert got[2] == pytest.approx(want[2], rel=1e-5), case
+    return want[0]
+
+
+class TestMiller:
+    # the kernel's pass runs at every amplitude, so the recurrence is held to the
+    # oracle far below bessel_j's x > 5 range, down to the subnormal 5e-324
+    @pytest.mark.parametrize("x", [5e-324, 1e-300, 1e-200, 1e-12, 1e-6, 0.01, 0.5, 2.405, 4.9,
+                                   12.5, 50.0])
+    def test_accuracy_against_oracle(self, x):
+        for n_max in (0, 1, 7, 94):
+            got = _miller(n_max, x)
+            assert len(got) == n_max + 1
+            for p, value in enumerate(got):
+                exact = mp.besselj(p, mp.mpf(x))
+                assert abs(value - float(exact)) <= 2e-16
+                # relative accuracy in the zero-free range p > x, where the tail test reads
+                if p > x and abs(exact) >= 1e-307:
+                    assert abs((value - exact) / exact) <= 1e-14
+
+    def test_zero_argument(self):
+        assert _miller(3, 0.0) == [1.0, 0.0, 0.0, 0.0]
+
+
+class TestSidebandAmplitudes:
+    def test_matches_per_order_oracle_on_random_cases(self):
+        rng = np.random.default_rng(20261018)
+        kinds = {"ok": 0, TruncationCapError: 0}
+        for _ in range(3000):
+            c = float(rng.uniform(0.0, 50.0))
+            epsilon = float(10.0 ** rng.uniform(-15.0, math.log10(0.99)))
+            max_order = int(rng.choice([1, 8, 64, 1000]))
+            kinds[assert_same_outcome(c, TruncationPolicy(epsilon, max_order))] += 1
+        assert min(kinds.values()) >= 500  # both the kept-order and the cap paths are exercised
+
+    @pytest.mark.parametrize("c, epsilon, max_order", [
+        (0.0, 1e-12, 64), (5e-324, 1e-12, 64), (1e-300, 1e-12, 64), (1e-150, 1e-160, 64),
+        (1e-19, 1e-15, 1000), (1e-21, 1e-15, 1000), (0.5, 1e-160, 1000), (50.0, 0.99, 1),
+    ])
+    def test_edge_amplitudes_match_oracle(self, c, epsilon, max_order):
+        assert assert_same_outcome(c, TruncationPolicy(epsilon, max_order)) == "ok"
+
+    @pytest.mark.parametrize("c, epsilon, max_order", [
+        (0.5, 1e-200, 64),  # epsilon**2 underflows to 0 and no tail within the cap rounds to 0
+        (45.0, 1e-12, 64), (50.0, 1e-12, 64), (3.0, 1e-12, 4),
+    ])
+    def test_cap_errors_match_oracle(self, c, epsilon, max_order):
+        assert assert_same_outcome(c, TruncationPolicy(epsilon, max_order)) is TruncationCapError
+
+    @pytest.mark.parametrize("c", [-0.1, -math.inf, math.nan, math.inf, 50.0001])
+    def test_domain_errors_match_oracle(self, c):
+        assert assert_same_outcome(c, TruncationPolicy()) in (InvalidInputError, BesselDomainError)
+
+    def test_tiny_amplitudes_keep_the_leading_term(self):
+        assert _sideband_amplitudes(5e-324, TruncationPolicy()) == [1.0]
+        assert _sideband_amplitudes(1e-150, TruncationPolicy(epsilon=1e-160)) == [1.0, 5e-151]
 
 
 class TestTruncationOrder:

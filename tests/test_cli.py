@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from freqbin import RunConfig, bessel_j, load_config
 from freqbin.cli import main
 from freqbin.config import parse_bins
 from freqbin.errors import InvalidInputError
+
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
 def run_cli(*argv):
@@ -242,6 +246,24 @@ class TestChshCommands:
         assert results["ensembles"] == 50
         assert 2.0 < results["s_mean"] < 2.6
         assert 0.0 < results["s_std"] < 0.2
+
+
+class TestPinnedCsvOutputs:
+    """The CSV bytes of these commands are pinned; their .run.json floats may move in the last bits."""
+
+    @pytest.mark.parametrize("name, argv", [
+        ("chsh_finite_1_6.csv", ("chsh", "finite", "--bins=1..6", "--format", "csv")),
+        ("chsh_finite_41_dispersed.csv",
+         ("chsh", "finite", "--bins=-20..20", "--crosstalk", "0.0241", "--dispersion-quadratic",
+          "1e-3", "--epsilon", "1e-3", "--format", "csv")),
+        ("pattern_both.csv", ("pattern", "--a", "0.6955", "--b", "0.6955", "--beta", "0",
+                              "--steps", "25", "--pattern-model", "both")),
+    ])
+    def test_csv_bytes_match_pinned_file(self, tmp_path, capsys, name, argv):
+        out = tmp_path / name
+        assert run_cli(*argv, "--out", str(out)) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == (GOLDEN_DIR / name).read_bytes()
 
 
 class TestSimulateAnalyze:
