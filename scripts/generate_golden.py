@@ -1,6 +1,10 @@
 #!/usr/bin/env python3
 """Regenerate tests/golden/golden_values.json.
 
+tests/test_golden.py compares golden_values() with the committed file, so
+drift in the code behind a frozen value fails the tests instead of passing
+unnoticed until the next regeneration.
+
 The frozen values are deterministic functions of the simulation (fixed
 summation order, no RNG), so they are reproducible across platforms to well
 below the 1e-9 comparison tolerance used by the tests.
@@ -25,7 +29,8 @@ def max_closed_form_deviation(bins, pairs):
     return worst
 
 
-def main():
+def golden_values() -> dict:
+    """The frozen values, computed afresh from the current code."""
     quad = chsh_optimal_quad()
     report6 = chsh_finite(quad, range(1, 7))
     report41 = chsh_finite(quad, range(-20, 21))
@@ -35,7 +40,7 @@ def main():
     sweep = [(ModulationSetting(0.6955, k * 2.0 * math.pi / 24), ModulationSetting(0.6955, 0.0))
              for k in range(25)]
 
-    golden = {
+    return {
         "finite_6bin_s": report6.s_value,
         "finite_6bin_correlators": list(report6.correlators),
         "finite_41bin_s": report41.s_value,
@@ -43,6 +48,10 @@ def main():
         "finite_41bin_cancellation_p_eo": cancel_table.p_eo,
         "pattern_6bin_max_gap": max_closed_form_deviation(range(1, 7), sweep),
     }
+
+
+def main():
+    golden = golden_values()
     GOLDEN_PATH.parent.mkdir(parents=True, exist_ok=True)
     GOLDEN_PATH.write_text(json.dumps(golden, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     for key, value in sorted(golden.items()):

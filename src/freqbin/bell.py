@@ -102,8 +102,8 @@ def optimize_symmetric(search_interval: tuple[float, float] = (0.0, 0.5),
     lo, hi = float(search_interval[0]), float(search_interval[1])
     if not 0.0 <= lo < hi <= 1.0:
         raise InvalidInputError("search interval must satisfy 0 <= lo < hi <= 1")
-    if tolerance < 1e-6:
-        raise InvalidInputError("tolerance below supported resolution 1e-6")
+    if not 1e-6 <= tolerance < math.inf:
+        raise InvalidInputError(f"tolerance must be finite and >= 1e-6, got {tolerance!r}")
     res = minimize_scalar(lambda c: -symmetric_chsh(c), bounds=(lo, hi), method="bounded",
                           options={"xatol": tolerance})
     c_star = float(res.x)

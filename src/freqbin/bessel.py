@@ -5,7 +5,8 @@ domain |x| <= 50:
 
 * ascending power series when the argument is small (|x| <= 5) or the order
   dominates the argument (4*order >= x**2), where the alternating series
-  loses at most ~1e-14 absolute to cancellation;
+  loses at most ~1e-14 absolute to cancellation, and which stops on a
+  relative 1e-18, so tiny high-order values keep full relative precision;
 * Miller's backward recurrence normalized with J_0 + 2*sum_k J_{2k} = 1
   otherwise.
 
@@ -74,7 +75,7 @@ def _series(n: int, x: float) -> float:
     for k in range(1, _SERIES_MAX_TERMS):
         term *= -q / (k * (n + k))
         total += term
-        if abs(term) <= 1e-18 * (1.0 + abs(total)):
+        if abs(term) <= 1e-18 * abs(total):  # relative, so tiny values keep full precision
             return total
     raise RuntimeError(f"Bessel series did not converge for J_{n}({x})")
 

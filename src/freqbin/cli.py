@@ -325,6 +325,8 @@ def _cmd_chsh_eval(args, config: RunConfig) -> int:
 
 
 def _cmd_chsh_optimize(args, config: RunConfig) -> int:
+    if not math.isfinite(args.amplitude_bound):  # recorded in the run record even without --general
+        raise InvalidInputError("amplitude_bound must be finite")
     c_star, s_star = optimize_symmetric(tuple(args.interval), args.tolerance)
     print(f"symmetric optimum: c* = {c_star:.6f}  amplitudes (c, 3c) = "
           f"({c_star:.4f}, {3 * c_star:.4f})  S = {s_star:.6f}")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
@@ -25,8 +26,9 @@ class RunConfig:
     seed: int = 12345
 
     def __post_init__(self):
-        if not self.rf_frequency > 0.0:
-            raise InvalidInputError("rf_frequency must be positive")
+        for name in ("rf_frequency", "center_frequency"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise InvalidInputError(f"{name} must be positive and finite")
         if not self.bins:
             raise InvalidInputError("bins must be non-empty")
         if self.seed < 0:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .closedform import ProbTable, apply_crosstalk, effective_drive, ideal_probabilities
+from .closedform import ProbTable, effective_drive, ideal_probabilities
 from .errors import EstimatorError, HistogramFormatError, InvalidInputError
 from .params import MeasurementModel, ModulationSetting
 
@@ -30,16 +30,22 @@ OUTCOMES = ("EE", "EO", "OE", "OO")
 
 _HEADER_RE = re.compile(r"^#\s*coincidence-histogram v1,\s*bin_width_s=([0-9eE+\-.]+)\s*$")
 
-# Canonical analysis windows matching synthesize_histogram's defaults: the
-# coincidence peak occupies delay bins 0..3 at 0.5 ns steps.
+# Canonical analysis windows matching synthesize_histogram: the coincidence
+# peak occupies delay bins 0..3 at 0.5 ns steps.
 DEFAULT_BIN_WIDTH_S = 0.5e-9
 DEFAULT_PEAK_WINDOW = (0.0, 2.0e-9)
 DEFAULT_BACKGROUND_WINDOW = (5.0e-9, 4.5e-8)
+_PEAK_BINS = round(DEFAULT_PEAK_WINDOW[1] / DEFAULT_BIN_WIDTH_S)
+
+# Largest Poisson mean a synthetic draw takes. Counts then stay far below 2**53,
+# so the float estimators hold their sums exactly; numpy's own limit is ~9.2e18.
+MAX_POISSON_MEAN = 1e15
 
 # Largest delay-bin span ingest_histogram densifies: 8 MB per channel pair.
 # A simulated file spans 200 bins; sparse indices far apart would otherwise
 # allocate memory in proportion to their distance, not to the file's size.
 MAX_SPAN_BINS = 1_000_000
+_MAX_COUNT = int(np.iinfo(np.int64).max)  # counts are stored as int64
 
 
 @dataclass(frozen=True)
@@ -138,49 +144,58 @@ def simulate_counts(probs: ProbTable, model: MeasurementModel, seed: int,
     + accidental_rate / 4); the accidental means are recorded as the
     background. Deterministic for a given seed.
     """
-    rng = np.random.default_rng(seed)
     accidental_mean = model.duration * model.accidental_rate / 4.0
     signal_scale = model.duration * model.efficiency * model.pair_rate
     means = [signal_scale * p + accidental_mean for p in probs.as_tuple()]
+    _check_poisson_means(means)
+    rng = np.random.default_rng(seed)
     drawn = [int(rng.poisson(m)) for m in means]
     return CountRecord(*drawn, setting_labels=labels, duration=model.duration,
                        background_per_outcome=(accidental_mean,) * 4)
 
 
 def synthesize_histogram(probs: ProbTable, model: MeasurementModel, seed: int,
-                         *, bin_width_s: float = DEFAULT_BIN_WIDTH_S,
-                         span_bins: int = 200, peak_bins: int = 4) -> Histogram:
-    """Synthetic delay histogram: true coincidences in the peak bins, flat accidentals.
+                         *, span_bins: int = 200) -> Histogram:
+    """Synthetic delay histogram: true coincidences in the peak window, flat accidentals.
 
-    The peak occupies delay bins 0 .. peak_bins-1; the per-outcome accidental
-    mean inside that window equals duration * accidental_rate / 4, spread
-    flat over the whole span. Deterministic for a given seed.
+    Bins are DEFAULT_BIN_WIDTH_S wide and the peak fills DEFAULT_PEAK_WINDOW;
+    the per-outcome accidental mean inside that window equals
+    duration * accidental_rate / 4, spread flat over the whole span.
+    Deterministic for a given seed.
     """
-    if span_bins <= peak_bins or peak_bins < 1:
+    if span_bins <= _PEAK_BINS:
         raise InvalidInputError("span must exceed the peak width")
-    rng = np.random.default_rng(seed)
     start = -span_bins // 2
     peak_lo = -start  # array offset of delay bin 0
-    accidental_per_bin = model.duration * model.accidental_rate / 4.0 / peak_bins
+    accidental_per_bin = model.duration * model.accidental_rate / 4.0 / _PEAK_BINS
     signal_scale = model.duration * model.efficiency * model.pair_rate
+    signal_means = [signal_scale * p for p in probs.as_tuple()]
+    _check_poisson_means(signal_means + [accidental_per_bin])
+    rng = np.random.default_rng(seed)
     counts: dict[str, np.ndarray] = {}
-    for outcome, p in zip(OUTCOMES, probs.as_tuple()):
-        true_total = int(rng.poisson(signal_scale * p))
-        spread = rng.multinomial(true_total, [1.0 / peak_bins] * peak_bins)
+    for outcome, mean in zip(OUTCOMES, signal_means):
+        true_total = int(rng.poisson(mean))
+        spread = rng.multinomial(true_total, [1.0 / _PEAK_BINS] * _PEAK_BINS)
         arr = rng.poisson(accidental_per_bin, size=span_bins).astype(np.int64)
-        arr[peak_lo:peak_lo + peak_bins] += spread
+        arr[peak_lo:peak_lo + _PEAK_BINS] += spread
         counts[outcome] = arr
-    return Histogram(bin_width_s=bin_width_s, start_index=start, counts=counts)
+    return Histogram(bin_width_s=DEFAULT_BIN_WIDTH_S, start_index=start, counts=counts)
+
+
+def _check_poisson_means(means) -> None:
+    if not all(mean <= MAX_POISSON_MEAN for mean in means):  # also false for NaN
+        raise InvalidInputError(
+            f"expected counts above {MAX_POISSON_MEAN:g} per draw: lower the rates or the duration")
 
 
 def emit_histogram(histogram: Histogram) -> str:
     """Serialize to the histogram CSV format (canonical pair and index order)."""
     lines = [f"# coincidence-histogram v1, bin_width_s={histogram.bin_width_s!r}"]
+    start = histogram.start_index
     for pair in OUTCOMES:
-        if pair not in histogram.counts:
-            continue
-        for offset, count in enumerate(histogram.counts[pair]):
-            lines.append(f"{pair},{histogram.start_index + offset},{int(count)}")
+        if pair in histogram.counts:
+            lines.extend(f"{pair},{index},{count}" for index, count
+                         in enumerate(histogram.counts[pair].tolist(), start))
     return "\n".join(lines) + "\n"
 
 
@@ -203,7 +218,9 @@ def ingest_histogram(source) -> Histogram:
     if not bin_width > 0.0:
         raise HistogramFormatError("bin_width_s must be positive", line=1)
 
-    rows: dict[str, list[tuple[int, int]]] = {}
+    # pair -> (its first delay bin, each row's bins after that one, each row's count);
+    # offsets fit int64 for any index once the span check has passed
+    rows: dict[str, tuple[int, list[int], list[int]]] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
         stripped = raw.strip()
         if not stripped:
@@ -219,26 +236,32 @@ def ingest_histogram(source) -> Histogram:
             count = int(fields[2])
         except ValueError:
             raise HistogramFormatError("delay_bin_index and count must be integers", line=lineno) from None
-        if count < 0:
-            raise HistogramFormatError(f"negative count {count}", line=lineno)
-        per_pair = rows.setdefault(pair, [])
-        if per_pair and index <= per_pair[-1][0]:
+        if not 0 <= count <= _MAX_COUNT:
             raise HistogramFormatError(
-                f"non-monotone delay bins for {pair}: {index} after {per_pair[-1][0]}", line=lineno)
-        per_pair.append((index, count))
+                f"negative count {count}" if count < 0 else f"count {count} exceeds int64", line=lineno)
+        entry = rows.get(pair)
+        if entry is None:
+            rows[pair] = (index, [0], [count])
+            continue
+        first, offsets, values = entry
+        if index <= first + offsets[-1]:
+            raise HistogramFormatError(
+                f"non-monotone delay bins for {pair}: {index} after {first + offsets[-1]}", line=lineno)
+        offsets.append(index - first)
+        values.append(count)
     if not rows:
         raise HistogramFormatError("no data rows", line=len(lines))
 
-    lo = min(idx for entries in rows.values() for idx, _ in entries)
-    hi = max(idx for entries in rows.values() for idx, _ in entries)
+    # rows are strictly increasing per pair, so each pair's ends bound the span
+    lo = min(first for first, _, _ in rows.values())
+    hi = max(first + offsets[-1] for first, offsets, _ in rows.values())
     if hi - lo + 1 > MAX_SPAN_BINS:
         raise HistogramFormatError(
             f"delay bins {lo}..{hi} span {hi - lo + 1} bins, more than {MAX_SPAN_BINS}")
     counts = {}
-    for pair, entries in rows.items():
+    for pair, (first, offsets, values) in rows.items():
         arr = np.zeros(hi - lo + 1, dtype=np.int64)
-        for index, count in entries:
-            arr[index - lo] = count
+        arr[np.array(offsets, dtype=np.int64) + (first - lo)] = values
         counts[pair] = arr
     return Histogram(bin_width_s=bin_width, start_index=lo, counts=counts)
 
@@ -366,12 +389,13 @@ def correlator_estimate(record: CountRecord, subtract: bool,
     subtract). The variance is the delta method on independent Poisson
     counts, treating the recorded background means as known. The optional
     per-outcome normalization factors divide the counts (modulation-off
-    calibration); None means no rescaling.
+    calibration); None means no rescaling. Factors lie in [1e-6, 1e6], which
+    keeps the fourth power of N^+ in the variance far from overflow.
     """
     if normalization is None:
         normalization = (1.0, 1.0, 1.0, 1.0)
-    if len(normalization) != 4 or not all(0.0 < f < math.inf for f in normalization):
-        raise InvalidInputError("normalization needs 4 positive finite factors")
+    if len(normalization) != 4 or not all(1e-6 <= f <= 1e6 for f in normalization):
+        raise InvalidInputError("normalization needs 4 factors in [1e-6, 1e6]")
     raw = record.counts()
     values = record.net_counts() if subtract else tuple(float(c) for c in raw)
     values = [v / f for v, f in zip(values, normalization)]
@@ -387,31 +411,19 @@ def correlator_estimate(record: CountRecord, subtract: bool,
     return (same - cross) / n_plus, 4.0 * (cross**2 * var_same + same**2 * var_cross) / n_plus**4
 
 
-def crosstalk_for_visibility(amplitude: float, target: float, *, tol: float = 1e-12) -> float:
+def crosstalk_for_visibility(amplitude: float, target: float) -> float:
     """Crosstalk chi that degrades the ideal equal-amplitude phase-scan visibility to target.
 
     In the closed-form model the cross-outcome fringe runs from
-    chi * (1 - chi) at drive cancellation up to the mixed table value at
-    phase agreement; V(chi) is strictly decreasing on [0, 0.5], so a
-    bisection inverts it.
+    u = chi * (1 - chi) at drive cancellation up to the mixed table value
+    (1 - (1 - 4u) j) / 4 at phase agreement, with j = J_0(4 * amplitude).
+    So V = (1 - j)(1 - 4u) / ((1 - j) + 4u (1 + j)), which falls from 1 at
+    chi = 0 to 0 at chi = 1/2 and inverts in closed form.
     """
     if not 0.0 < target <= 1.0:
         raise InvalidInputError("target visibility must lie in (0, 1]")
-
-    def vis_of(chi: float) -> float:
-        aligned = apply_crosstalk(ideal_probabilities(
-            effective_drive(ModulationSetting(amplitude, 0.0), ModulationSetting(amplitude, 0.0))), chi)
-        p_max = aligned.p_eo
-        p_min = chi * (1.0 - chi)
-        return (p_max - p_min) / (p_max + p_min)
-
-    lo, hi = 0.0, 0.5
-    if vis_of(hi) > target:
-        raise InvalidInputError(f"target visibility {target} unreachable at amplitude {amplitude}")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if vis_of(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    setting = ModulationSetting(amplitude, 0.0)
+    aligned = ideal_probabilities(effective_drive(setting, setting))
+    # in the table's terms 1 - j = 4 p_eo and 1 + j = 4 p_ee
+    u = aligned.p_eo * (1.0 - target) / (4.0 * (aligned.p_eo + target * aligned.p_ee))
+    return 2.0 * u / (1.0 + math.sqrt(max(1.0 - 4.0 * u, 0.0)))

@@ -32,8 +32,8 @@ class TruncationPolicy:
     max_order: int = 64
 
     def __post_init__(self):
-        if not self.epsilon > 0.0:
-            raise InvalidInputError("epsilon must be positive")
+        if not 0.0 < self.epsilon < 1.0:
+            raise InvalidInputError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
         if isinstance(self.max_order, bool) or not isinstance(self.max_order, numbers.Integral):
             raise InvalidInputError(f"max_order must be an integer, got {self.max_order!r}")
         if not 1 <= self.max_order <= MAX_ORDER_CAP:
@@ -90,6 +90,11 @@ class DispersionProfile:
     quadratic_coefficient: float = 0.0
     per_bin_overrides: dict[int, float] | None = None
 
+    def __post_init__(self):
+        phases = [self.quadratic_coefficient, *(self.per_bin_overrides or {}).values()]
+        if not all(math.isfinite(phase) for phase in phases):
+            raise InvalidInputError("dispersion phases must be finite")
+
     def phases(self, bins) -> np.ndarray:
         """Phase in radians at each bin index in bins."""
         n = np.asarray(bins, dtype=float)
@@ -122,10 +127,10 @@ class MeasurementModel:
             raise InvalidInputError("crosstalk must lie in [0, 0.5]")
         if not 0.0 < self.efficiency <= 1.0:
             raise InvalidInputError("efficiency must lie in (0, 1]")
-        if self.pair_rate < 0.0 or self.accidental_rate < 0.0:
-            raise InvalidInputError("rates must be >= 0")
-        if not self.duration > 0.0:
-            raise InvalidInputError("duration must be positive")
+        if not (0.0 <= self.pair_rate < math.inf and 0.0 <= self.accidental_rate < math.inf):
+            raise InvalidInputError("rates must be finite and >= 0")
+        if not 0.0 < self.duration < math.inf:
+            raise InvalidInputError("duration must be positive and finite")
 
 
 def crosstalk_from_extinction_db(extinction_db: float) -> float:

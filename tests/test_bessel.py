@@ -153,10 +153,19 @@ def assert_same_outcome(c, policy):
     else:
         assert got[1] == want[1], case
         if want[2] is not None:
-            # bessel_j's series stops at an absolute 1e-18, so its tiny orders are
-            # only good to ~1e-6 relative; a wrong tail would be off by far more
-            assert got[2] == pytest.approx(want[2], rel=1e-5), case
+            # both routes hold the tiny tail orders to full relative precision
+            assert got[2] == pytest.approx(want[2], rel=1e-13), case
     return want[0]
+
+
+class TestSeries:
+    # the series stops on a relative 1e-18, so values far below 1 keep full
+    # relative precision; an absolute stop left J_30(1) 3.2e-5 off
+    @pytest.mark.parametrize("order, x", [(30, 1.0), (60, 0.5), (94, 0.5), (64, 0.01),
+                                          (40, 5.0), (80, 4.9)])
+    def test_tiny_values_relative_accuracy(self, order, x):
+        exact = mp.besselj(order, mp.mpf(x))
+        assert abs(bessel_j(order, x) - exact) <= 5e-16 * abs(exact)
 
 
 class TestMiller:

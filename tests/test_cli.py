@@ -1,14 +1,17 @@
 """Command-line surface: subcommands, file outputs, exit codes, reproducibility."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from freqbin import RunConfig, bessel_j, load_config
 from freqbin.cli import main
@@ -424,8 +427,155 @@ class TestExitCodes:
         assert run_cli("chsh", "finite") == 3
         assert "sums to" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ("chsh", "eval", "--pair-rate", "inf"), ("chsh", "eval", "--pair-rate", "nan"),
+        ("chsh", "eval", "--pair-rate", "1e17"), ("chsh", "eval", "--duration", "inf"),
+        ("chsh", "eval", "--accidental-rate", "inf"), ("chsh", "montecarlo", "--pair-rate", "1e17"),
+        ("simulate", "--pair-rate", "1e300"),
+    ])
+    def test_huge_or_non_finite_measurement_is_data_error(self, argv, tmp_path, capsys):
+        # these once escaped as numpy's "lam value too large" / "lam < 0 or lam is NaN"
+        assert run_cli(*argv, "--out", str(tmp_path / "out")) == 3
+        err = capsys.readouterr().err
+        assert "finite" in err or "expected counts above" in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("chsh", "optimize", "--tolerance", "nan"), "tolerance"),
+        (("chsh", "optimize", "--tolerance", "inf"), "tolerance"),
+        (("chsh", "finite", "--epsilon", "inf"), "epsilon"),
+        (("chsh", "finite", "--epsilon", "nan"), "epsilon"),
+        (("chsh", "eval", "--center-frequency", "nan"), "center_frequency"),
+        (("chsh", "eval", "--rf-frequency", "inf"), "rf_frequency"),
+        (("chsh", "finite", "--dispersion-quadratic", "nan"), "dispersion"),
+        (("chsh", "eval", "--dispersion-quadratic", "inf"), "dispersion"),
+    ])
+    def test_non_finite_setting_is_data_error(self, argv, message, tmp_path, capsys):
+        # each once gave exit 0 with a wrong answer or a NaN/Infinity run record,
+        # or failed later with "p_ee = nan is not a probability"
+        out = tmp_path / "report.json"
+        assert run_cli(*argv, "--out", str(out)) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_console_entry_point(self):
         result = subprocess.run([sys.executable, "-m", "freqbin.cli", "--version"],
                                 capture_output=True, text=True)
         assert result.returncode == 0
         assert "freqbin" in result.stdout
+
+
+# --- whole-invocation fuzz ------------------------------------------------------
+
+HOSTILE_NUMBERS = ["nan", "-nan", "inf", "-inf", "1e300", "-1e300", "1e17", "1e-300", "-1", "0",
+                   "", "abc", "0x10"]
+NUMBERS = st.sampled_from(HOSTILE_NUMBERS) | st.floats(-20.0, 20.0).map(repr)
+SMALL_INTS = st.integers(-2, 5).map(str) | st.sampled_from(["", "x", "1.5", "nan"])
+
+
+def one(values):
+    return values.map(lambda v: [v])
+
+
+def two(values):
+    return st.tuples(values, values).map(list)
+
+
+SWITCH = st.just(None)
+COMMON = {
+    "--config": one(st.sampled_from(["", "<dir>/absent.json", "<in>/record_A0B0.json"])),
+    "--seed": one(st.sampled_from(["-1", "0", "7", str(2**64), str(10**30), "", "x", "1.5"])),
+    "--format": one(st.sampled_from(["csv", "json", "xml"])),
+    "--bins": one(st.sampled_from(["1..6", "-3..3", "1,2,3", "0", "", "1..x", "5..1", "1,,2",
+                                   "1e300", "-2..2"])),
+    "--max-order": one(st.integers(-2, 1002).map(str) | st.sampled_from(["", "nan", "1e3"])),
+    **{flag: one(NUMBERS) for flag in (
+        "--rf-frequency", "--center-frequency", "--epsilon", "--crosstalk", "--efficiency",
+        "--pair-rate", "--accidental-rate", "--duration", "--dispersion-quadratic")},
+}
+SETTINGS = {flag: one(NUMBERS) for flag in ("--a0", "--a1", "--b0", "--b1",
+                                            "--alpha0", "--alpha1", "--beta0", "--beta1")}
+HISTOGRAMS = [f"<in>/hist_{label}.csv" for label in ("A0B0", "A0B1", "A1B0", "A1B1")]
+COMMANDS = {
+    "pattern": {**COMMON, **{flag: one(NUMBERS) for flag in (
+        "--a", "--b", "--beta", "--alpha-start", "--alpha-stop")},
+        "--steps": one(SMALL_INTS),
+        "--pattern-model": one(st.sampled_from(["ideal", "finite", "both", "x"]))},
+    "chsh eval": {**COMMON, **SETTINGS},
+    "chsh optimize": {**COMMON, "--interval": two(NUMBERS), "--tolerance": one(NUMBERS),
+                      "--general": SWITCH, "--restarts": one(SMALL_INTS),
+                      "--amplitude-bound": one(NUMBERS)},
+    "chsh finite": {**COMMON, **SETTINGS},
+    "chsh montecarlo": {**COMMON, **SETTINGS, "--ensembles": one(SMALL_INTS)},
+    "simulate": {**COMMON, **SETTINGS},
+    "analyze": {**COMMON, "--peak-window": two(NUMBERS), "--background-window": two(NUMBERS),
+                "--labels": one(st.sampled_from(["a,b,c,d", "a,b,c,d,e", "", ",,,"])),
+                "--no-subtract": SWITCH,
+                "--normalization": one(st.sampled_from(["1,1,1,1", "1,2,1,2", "nan,1,1,1",
+                                                        "0,1,1,1", "1e300,1,1,1", "1,2", "a,b,c,d"])),
+                "--visibility": one(st.sampled_from(["EO", "OE", "EE"]))},
+}
+ANALYZE_FILES = st.sampled_from([HISTOGRAMS, HISTOGRAMS + ["<in>/hist_A0B0.csv"],
+                                 HISTOGRAMS[:3], ["<in>/bad.csv"] * 4, ["", "<dir>"] * 2])
+
+
+@st.composite
+def invocations(draw):
+    """argv from the real subcommands and flags, with hostile values; <dir>/<in> are placeholders."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    argv = command.split()
+    if command == "analyze":
+        argv += draw(ANALYZE_FILES)
+    flags = COMMANDS[command]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=4, unique=True)):
+        values = draw(flags[flag])
+        if values is None:
+            argv.append(flag)
+        elif len(values) == 1:
+            argv.append(f"{flag}={values[0]}")
+        else:
+            argv += [flag, *values]
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Four good histograms, their records, and a malformed histogram."""
+    path = tmp_path_factory.mktemp("fuzz_inputs")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--out", str(path)]) == 0
+    (path / "bad.csv").write_text("# coincidence-histogram v1, bin_width_s=5e-10\nEE,0,-1\n")
+    return path
+
+
+class TestCliFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(argv=invocations())
+    @example(argv=["chsh", "eval", "--pair-rate=inf"])
+    @example(argv=["chsh", "eval", "--pair-rate=nan"])
+    @example(argv=["chsh", "eval", "--pair-rate=1e17"])
+    @example(argv=["chsh", "eval", "--duration=inf"])
+    @example(argv=["chsh", "eval", "--accidental-rate=inf"])
+    @example(argv=["simulate", "--pair-rate=1e300"])
+    @example(argv=["chsh", "optimize", "--tolerance=nan"])
+    @example(argv=["chsh", "finite", "--epsilon=inf"])
+    @example(argv=["chsh", "finite", "--center-frequency=nan"])
+    @example(argv=["pattern", "--rf-frequency=inf"])
+    @example(argv=["chsh", "eval", "--dispersion-quadratic=nan"])
+    def test_exit_code_and_outputs(self, fuzz_inputs, argv):
+        with tempfile.TemporaryDirectory() as work:
+            out = Path(work) / "out"
+            argv = [token.replace("<dir>", work).replace("<in>", str(fuzz_inputs))
+                    for token in argv] + ["--out", str(out)]
+            stderr = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            assert code in (0, 2, 3), (argv, stderr.getvalue())
+            assert "Traceback" not in stderr.getvalue()
+            # every JSON output is strict JSON: no NaN or Infinity from an unchecked input
+            for path in Path(work).rglob("*"):
+                if path.is_file() and path.read_text(encoding="utf-8").startswith("{"):
+                    json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)

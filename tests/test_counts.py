@@ -2,6 +2,7 @@
 
 import io
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from freqbin import (CountRecord, EstimatorError, Histogram, HistogramFormatErro
                      effective_drive, emit_histogram, extract_counts, ideal_probabilities,
                      ingest_histogram, chsh_optimal_quad, simulate_counts, synthesize_histogram,
                      visibility)
-from freqbin.counts import DEFAULT_BACKGROUND_WINDOW, DEFAULT_PEAK_WINDOW, MAX_SPAN_BINS, OUTCOMES
+from freqbin.counts import (_HEADER_RE, DEFAULT_BACKGROUND_WINDOW, DEFAULT_PEAK_WINDOW,
+                            MAX_POISSON_MEAN, MAX_SPAN_BINS, OUTCOMES, _read_text)
 
 CORRELATED = ProbTable(0.5, 0.0, 0.0, 0.5)
 
@@ -34,6 +36,116 @@ def scan_records(chi, model, seed, points=13):
     return records
 
 
+# --- oracles: the earlier per-row implementations, kept verbatim ---------------
+
+def oracle_ingest_histogram(source) -> Histogram:
+    """Parse the histogram CSV format from a string, bytes, or readable stream.
+
+    Malformed input is rejected with the offending line number.
+    """
+    text = _read_text(source)
+    lines = text.splitlines()
+    if not lines:
+        raise HistogramFormatError("empty input", line=1)
+    match = _HEADER_RE.match(lines[0])
+    if not match:
+        raise HistogramFormatError("expected '# coincidence-histogram v1, bin_width_s=<float>'", line=1)
+    try:
+        bin_width = float(match.group(1))
+    except ValueError:
+        raise HistogramFormatError("unparsable bin_width_s", line=1) from None
+    if not bin_width > 0.0:
+        raise HistogramFormatError("bin_width_s must be positive", line=1)
+
+    rows: dict[str, list[tuple[int, int]]] = {}
+    for lineno, raw in enumerate(lines[1:], start=2):
+        stripped = raw.strip()
+        if not stripped:
+            continue
+        fields = stripped.split(",")
+        if len(fields) != 3:
+            raise HistogramFormatError("expected 'channel_pair,delay_bin_index,count'", line=lineno)
+        pair = fields[0].strip()
+        if pair not in OUTCOMES:
+            raise HistogramFormatError(f"unknown channel pair {pair!r}", line=lineno)
+        try:
+            index = int(fields[1])
+            count = int(fields[2])
+        except ValueError:
+            raise HistogramFormatError("delay_bin_index and count must be integers", line=lineno) from None
+        if count < 0:
+            raise HistogramFormatError(f"negative count {count}", line=lineno)
+        per_pair = rows.setdefault(pair, [])
+        if per_pair and index <= per_pair[-1][0]:
+            raise HistogramFormatError(
+                f"non-monotone delay bins for {pair}: {index} after {per_pair[-1][0]}", line=lineno)
+        per_pair.append((index, count))
+    if not rows:
+        raise HistogramFormatError("no data rows", line=len(lines))
+
+    lo = min(idx for entries in rows.values() for idx, _ in entries)
+    hi = max(idx for entries in rows.values() for idx, _ in entries)
+    if hi - lo + 1 > MAX_SPAN_BINS:
+        raise HistogramFormatError(
+            f"delay bins {lo}..{hi} span {hi - lo + 1} bins, more than {MAX_SPAN_BINS}")
+    counts = {}
+    for pair, entries in rows.items():
+        arr = np.zeros(hi - lo + 1, dtype=np.int64)
+        for index, count in entries:
+            arr[index - lo] = count
+        counts[pair] = arr
+    return Histogram(bin_width_s=bin_width, start_index=lo, counts=counts)
+
+
+def oracle_emit_histogram(histogram: Histogram) -> str:
+    """Serialize to the histogram CSV format (canonical pair and index order)."""
+    lines = [f"# coincidence-histogram v1, bin_width_s={histogram.bin_width_s!r}"]
+    for pair in OUTCOMES:
+        if pair not in histogram.counts:
+            continue
+        for offset, count in enumerate(histogram.counts[pair]):
+            lines.append(f"{pair},{histogram.start_index + offset},{int(count)}")
+    return "\n".join(lines) + "\n"
+
+
+def oracle_crosstalk_for_visibility(amplitude: float, target: float, *, tol: float = 1e-12) -> float:
+    """Crosstalk chi that degrades the ideal equal-amplitude phase-scan visibility to target.
+
+    In the closed-form model the cross-outcome fringe runs from
+    chi * (1 - chi) at drive cancellation up to the mixed table value at
+    phase agreement; V(chi) is strictly decreasing on [0, 0.5], so a
+    bisection inverts it.
+    """
+    if not 0.0 < target <= 1.0:
+        raise InvalidInputError("target visibility must lie in (0, 1]")
+
+    def vis_of(chi: float) -> float:
+        aligned = apply_crosstalk(ideal_probabilities(
+            effective_drive(ModulationSetting(amplitude, 0.0), ModulationSetting(amplitude, 0.0))), chi)
+        p_max = aligned.p_eo
+        p_min = chi * (1.0 - chi)
+        return (p_max - p_min) / (p_max + p_min)
+
+    lo, hi = 0.0, 0.5
+    if vis_of(hi) > target:
+        raise InvalidInputError(f"target visibility {target} unreachable at amplitude {amplitude}")
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if vis_of(mid) > target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def model_visibility(amplitude, chi):
+    """Closed-form phase-scan fringe visibility at crosstalk chi."""
+    setting = ModulationSetting(amplitude, 0.0)
+    aligned = apply_crosstalk(ideal_probabilities(effective_drive(setting, setting)), chi)
+    p_min = chi * (1.0 - chi)
+    return (aligned.p_eo - p_min) / (aligned.p_eo + p_min)
+
+
 class TestSimulateCounts:
     def test_poisson_means_at_experiment_scale(self):
         # means: 0.5 * 1.5 * 1800 * 0.5 + 337.5 = 1012.5 on the diagonal,
@@ -51,6 +163,18 @@ class TestSimulateCounts:
         a = simulate_counts(CORRELATED, experiment_model(), seed=7)
         b = simulate_counts(CORRELATED, experiment_model(), seed=7)
         assert a == b
+
+    def test_poisson_mean_cap(self):
+        # pair_rate 1e17 over 1800 s once reached numpy's "lam value too large"
+        for model in (experiment_model(pair_rate=1e17), experiment_model(accidental_rate=1e15),
+                      experiment_model(pair_rate=1e300, duration=1e300)):
+            with pytest.raises(InvalidInputError, match="expected counts above"):
+                simulate_counts(CORRELATED, model, seed=1)
+            with pytest.raises(InvalidInputError, match="expected counts above"):
+                synthesize_histogram(CORRELATED, model, seed=1)
+        at_cap = experiment_model(efficiency=1.0, accidental_rate=0.0,
+                                  pair_rate=1.9 * MAX_POISSON_MEAN / 1800.0)
+        assert sum(simulate_counts(CORRELATED, at_cap, seed=1).counts()) > MAX_POISSON_MEAN
 
     def test_empirical_car_matches_rates(self):
         model = experiment_model(efficiency=1.0, duration=1e6)
@@ -88,6 +212,14 @@ class TestHistogramFormat:
             ingest_histogram(text)
         assert excinfo.value.line == 3
         assert "line 3" in str(excinfo.value)
+
+    def test_count_beyond_int64_names_line(self):
+        # once an OverflowError traceback from the int64 array store
+        header = "# coincidence-histogram v1, bin_width_s=5e-10\nEE,0,3\n"
+        assert ingest_histogram(header + f"EE,1,{2**63 - 1}\n").counts["EE"][1] == 2**63 - 1
+        with pytest.raises(HistogramFormatError, match="exceeds int64") as excinfo:
+            ingest_histogram(header + f"EE,1,{2**63}\n")
+        assert excinfo.value.line == 3
 
     def test_non_monotone_bins_rejected(self):
         text = "# coincidence-histogram v1, bin_width_s=5e-10\nEE,1,3\nEE,0,2\n"
@@ -142,6 +274,136 @@ class TestHistogramFormat:
         back = ingest_histogram(emit_histogram(histogram))
         for pair in OUTCOMES:
             assert np.array_equal(back.counts[pair], histogram.counts[pair])
+
+
+HEADERS = ("# coincidence-histogram v1, bin_width_s=5e-10",
+           "#coincidence-histogram v1,bin_width_s=1e-9  ",
+           "# coincidence-histogram v1, bin_width_s=2.5E-10")
+FAULTS = ("none", "arity", "unknown pair", "non-integer", "negative count", "non-monotone",
+          "span", "non-utf8", "no rows")
+PADS = ("", " ", "\t", "  ")
+
+
+def styled_row(rng, pair, index, count):
+    """One data row, canonical or with padding and '+' signs the format tolerates."""
+    fields = [pair, f"+{index}" if index >= 0 and rng.random() < 0.1 else str(index),
+              f"+{count}" if rng.random() < 0.1 else str(count)]
+    if rng.random() < 0.2:
+        fields = [rng.choice(PADS) + field + rng.choice(PADS) for field in fields]
+    return ",".join(fields)
+
+
+def generated_file(rng, fault):
+    """Histogram file bytes from a random.Random: a valid random body with one injected fault."""
+    pairs = rng.sample(OUTCOMES, rng.randint(1, 4))
+    bins = {}
+    for p in pairs:  # strictly increasing, with gaps
+        index = rng.randrange(-60, 60)
+        bins[p] = [index := index + rng.randint(1, 3) for _ in range(rng.randint(1, 40))]
+    order = [p for p in pairs for _ in bins[p]]
+    if rng.random() < 0.5:  # interleaved pairs; otherwise one block per pair
+        rng.shuffle(order)
+    cursor = dict.fromkeys(pairs, 0)
+    rows = []  # (pair, index) of each valid row, in file order
+    for p in order:
+        rows.append((p, bins[p][cursor[p]]))
+        cursor[p] += 1
+    texts = [styled_row(rng, p, i, rng.randrange(1000)) for p, i in rows]
+
+    at = rng.randint(0, len(texts))
+    pair = rng.choice(OUTCOMES)
+    if fault == "arity":
+        texts.insert(at, rng.choice([f"{pair},1", f"{pair},1,2,3", pair, "1,2"]))
+    elif fault == "unknown pair":
+        texts.insert(at, rng.choice(["XY,0,1", "ee,0,1", ",0,1", "E E,0,1"]))
+    elif fault == "non-integer":
+        texts.insert(at, rng.choice([f"{pair},0.5,1", f"{pair},1,x", f"{pair},,3",
+                                     f"{pair},1,1e3", f"{pair},1,"]))
+    elif fault == "negative count":
+        texts.insert(at, f"{pair},{rng.randint(-5, 5)},-{rng.randint(1, 9)}")
+    elif fault == "non-monotone":
+        j = rng.randrange(len(rows))
+        p, index = rows[j]
+        texts.insert(j + 1, f"{p},{index - rng.randint(0, 2)},1")
+    elif fault == "span":  # past the cap by 0 (still valid), 1 or 2 bins
+        lo = min(index for _, index in rows)
+        texts.append(f"{rows[-1][0]},{lo + MAX_SPAN_BINS - 1 + rng.randint(0, 2)},1")
+    elif fault == "no rows":
+        texts = []
+    for _ in range(rng.randint(0, 3)):  # blank and whitespace-only lines
+        texts.insert(rng.randint(0, len(texts)), rng.choice(PADS))
+    newline = rng.choice(["\n", "\r\n"])
+    text = newline.join([rng.choice(HEADERS)] + texts) + (newline if rng.random() < 0.8 else "")
+    data = text.encode("utf-8")
+    if fault == "non-utf8":
+        lines = data.split(b"\n")
+        k = rng.randrange(len(lines))
+        lines[k] = lines[k] + b"\xff"
+        data = b"\n".join(lines)
+    return data
+
+
+def parse_outcome(parse, source):
+    """("ok", width, start, pairs) or (error type, message, line), and the arrays if any."""
+    try:
+        histogram = parse(source)
+    except (HistogramFormatError, InvalidInputError) as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None)), {}
+    return ("ok", histogram.bin_width_s, histogram.start_index, sorted(histogram.counts)), \
+        histogram.counts
+
+
+def assert_same_parse(source_factory, context):
+    want, want_arrays = parse_outcome(oracle_ingest_histogram, source_factory())
+    got, got_arrays = parse_outcome(ingest_histogram, source_factory())
+    assert got == want, context
+    for pair, arr in want_arrays.items():
+        assert np.array_equal(got_arrays[pair], arr), context
+    return want[0]
+
+
+class TestParserEquivalence:
+    def test_generated_files_match_oracle(self):
+        rng = random.Random(20261018)
+        seen = {}
+        for k in range(1200):
+            fault = FAULTS[k % len(FAULTS)]
+            data = generated_file(rng, fault)
+            as_text = fault != "non-utf8" and rng.random() < 0.5
+            source = data.decode("utf-8") if as_text else data
+            stream = io.StringIO if as_text else io.BytesIO
+            make = (lambda: source) if k % 2 == 0 else (lambda: stream(source))
+            seen.setdefault(fault, set()).add(assert_same_parse(make, (fault, data)))
+        assert all(HistogramFormatError in kinds for fault, kinds in seen.items() if fault != "none")
+        assert seen["none"] == {"ok"} and "ok" in seen["span"]
+
+    def test_far_delay_bins_match_oracle(self):
+        header = "# coincidence-histogram v1, bin_width_s=5e-10\n"
+        for body in (f"EE,{10**27},5\nOO,{10**27 + 2},1\nEE,{10**27 + 1},3\n",
+                     f"EE,{-10**30},5\nEE,{-10**30 + 4},1\n",
+                     f"EE,{-2**63 - 1},5\nOO,{-2**63 + 5},1\n",   # pairs either side of int64
+                     f"EE,{2**63 - 5},5\nOO,{2**63 + 5},1\n",
+                     f"EE,{-10**30},5\nOO,{10**30},1\n"):
+            assert_same_parse(lambda: header + body, body)
+
+
+class TestEmitMatchesOracle:
+    def test_roundtrip_histograms(self):
+        rng = np.random.default_rng(77)
+        for _ in range(25):
+            pairs = rng.choice(OUTCOMES, size=int(rng.integers(1, 5)), replace=False)
+            n_bins = int(rng.integers(1, 60))
+            start = int(rng.integers(-40, 10))
+            counts = {str(p): rng.integers(0, 500, size=n_bins).astype(np.int64) for p in pairs}
+            histogram = Histogram(bin_width_s=0.5e-9, start_index=start, counts=counts)
+            assert emit_histogram(histogram) == oracle_emit_histogram(histogram)
+
+    def test_synthesized_histograms(self):
+        probs = apply_crosstalk(ideal_probabilities(effective_drive(
+            ModulationSetting(0.6955, 0.0), ModulationSetting(0.6955, 1.0))), 0.02)
+        for seed in range(100):
+            histogram = synthesize_histogram(probs, experiment_model(), seed=seed)
+            assert emit_histogram(histogram) == oracle_emit_histogram(histogram)
 
 
 class TestExtractCounts:
@@ -274,6 +536,15 @@ class TestCrosstalkCalibration:
 
     def test_zero_crosstalk_for_unit_target(self):
         assert crosstalk_for_visibility(0.6955, 1.0) <= 1e-10
+
+    def test_closed_form_matches_bisection_oracle(self):
+        rng = random.Random(85)
+        for _ in range(1000):
+            amplitude = 3.0 * (1.0 - rng.random())  # (0, 3]
+            target = 1.0 - rng.random()              # (0, 1]
+            chi = crosstalk_for_visibility(amplitude, target)
+            assert abs(chi - oracle_crosstalk_for_visibility(amplitude, target)) <= 1e-12
+            assert abs(model_visibility(amplitude, chi) - target) <= 1e-14
 
 
 class TestChshEstimate:

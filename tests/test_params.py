@@ -49,6 +49,13 @@ class TestDispersionProfile:
         assert not profile.is_zero()
         assert DispersionProfile().is_zero()
 
+    def test_phases_must_be_finite(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidInputError, match="finite"):
+                DispersionProfile(quadratic_coefficient=bad)
+            with pytest.raises(InvalidInputError, match="finite"):
+                DispersionProfile(per_bin_overrides={2: bad})
+
 
 class TestMeasurementModel:
     def test_defaults_match_experiment_scale(self):
@@ -66,11 +73,21 @@ class TestMeasurementModel:
         with pytest.raises(InvalidInputError):
             MeasurementModel(pair_rate=-1.0)
 
+    @pytest.mark.parametrize("field", ["pair_rate", "accidental_rate", "duration"])
+    def test_rates_and_duration_must_be_finite(self, field):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(InvalidInputError, match="finite"):
+                MeasurementModel(**{field: bad})
+
 
 class TestTruncationPolicy:
     def test_invariants(self):
         with pytest.raises(InvalidInputError):
             TruncationPolicy(epsilon=0.0)
+        for bad in (1.0, math.inf, math.nan):
+            with pytest.raises(InvalidInputError, match="epsilon"):
+                TruncationPolicy(epsilon=bad)
+        assert TruncationPolicy(epsilon=0.99).epsilon == 0.99
         with pytest.raises(InvalidInputError):
             TruncationPolicy(max_order=0)
 
