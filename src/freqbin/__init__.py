@@ -6,7 +6,7 @@ from .bell import (ChshReport, SettingQuad, chsh_finite, chsh_ideal, optimize_ge
                    optimize_symmetric, chsh_optimal_quad, symmetric_chsh, symmetric_quad)
 from .bessel import bessel_j, jacobi_anger_residual, truncation_order
 from .binspace import (TwoPhotonState, apply_dispersion, apply_modulator, correlated_state,
-                       modulation_kernel, parity_probabilities, parity_tables, phase_state)
+                       modulation_kernel, parity_probabilities, parity_tables)
 from .closedform import (EffectiveDrive, ProbTable, apply_crosstalk, effective_drive,
                          ideal_probabilities, phase_average_oracle)
 from .config import RunConfig, load_config
@@ -33,6 +33,6 @@ __all__ = [
     "ideal_probabilities", "ingest_histogram", "jacobi_anger_residual", "load_config",
     "modulation_kernel",
     "optimize_general", "optimize_symmetric", "chsh_optimal_quad", "parity_probabilities",
-    "parity_tables", "phase_average_oracle", "phase_state", "simulate_counts",
+    "parity_tables", "phase_average_oracle", "simulate_counts",
     "symmetric_chsh", "symmetric_quad", "synthesize_histogram", "truncation_order", "visibility",
 ]

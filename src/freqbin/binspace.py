@@ -14,9 +14,13 @@ them without the K x K table. Both modulators are convolutions, so
 
 with the envelope correlation C_pi(d) = sum_{n = pi mod 2} f(n) f*(n + d)
 and the parity-split kernel Gram sums g_pi(d) = sum_{p = pi mod 2} u(p) u*(p - d).
-That costs O(K P) per call instead of O(K^2 P) per setting pair. The dense
-TwoPhotonState path stays as the test oracle for it, and as the only path
-that clips to a max_window and accounts the leaked norm.
+One call batches every pair: the S distinct settings' kernels form one
+zero-padded S x (2 P_max + 1) weight matrix, all their Gram sums come from
+one product of it, C_pi from two correlations of the envelope, and all the
+tables from one contraction. That costs O(K P + S P^2) time and
+O(K + S P^2) memory per call, instead of O(K^2 P) per setting pair. The
+dense TwoPhotonState path stays as the test oracle for it, and as the only
+path that clips to a max_window and accounts the leaked norm.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from .errors import InvalidInputError, ProbabilitySumError, WindowBoundError
 from .params import BinWindow, DispersionProfile, MeasurementModel, ModulationSetting, TruncationPolicy
 
 DEFAULT_BIN_BOUND = 512
-_NORM_TOL = 1e-10
 _ARMS = ("A", "B")
 
 
@@ -76,13 +79,17 @@ def _check_arm(arm: str) -> None:
         raise InvalidInputError(f"arm must be 'A' or 'B', got {arm!r}")
 
 
-def _alice_bins(bins_a) -> tuple[list[int], BinWindow]:
-    bins = [int(n) for n in bins_a]
-    if not bins:
+def _alice_bins(bins_a) -> tuple[np.ndarray, BinWindow]:
+    """The bins as a sorted int64 array and the window they span."""
+    try:
+        bins = np.sort(np.fromiter(bins_a, dtype=np.int64))
+    except OverflowError:
+        raise WindowBoundError("bin indices must fit in int64") from None
+    if not bins.size:
         raise InvalidInputError("need at least one bin")
-    if len(set(bins)) != len(bins):
+    if np.any(bins[1:] == bins[:-1]):
         raise InvalidInputError("duplicate bins in correlated state")
-    return bins, BinWindow(min(bins), max(bins))
+    return bins, BinWindow(int(bins[0]), int(bins[-1]))
 
 
 def correlated_state(bins_a) -> TwoPhotonState:
@@ -90,22 +97,35 @@ def correlated_state(bins_a) -> TwoPhotonState:
     bins, window_a = _alice_bins(bins_a)
     window_b = window_a.negated()
     amp = np.zeros((window_a.width, window_b.width), dtype=complex)
-    weight = 1.0 / math.sqrt(len(bins))
-    for n in bins:
-        amp[window_a.index(n), window_b.index(-n)] = weight
+    # Bob's bin -n sits at column -n - window_b.min_bin = window_a.max_bin - n
+    amp[bins - window_a.min_bin, window_a.max_bin - bins] = 1.0 / math.sqrt(bins.size)
     return TwoPhotonState(window_a, window_b, amp)
 
 
 def modulation_kernel(setting: ModulationSetting,
                       policy: TruncationPolicy = TruncationPolicy()) -> tuple[np.ndarray, np.ndarray]:
     """Sideband offsets p in [-P, P] and weights J_p(c) e^{i p (gamma - pi/2)}."""
-    js = np.array(_sideband_amplitudes(setting.amplitude, policy))
-    p_max = js.size - 1
+    weights = _kernel_matrix([setting], [_sideband_amplitudes(setting.amplitude, policy)])[0]
+    p_max = weights.size // 2
+    return np.arange(-p_max, p_max + 1), weights
+
+
+def _kernel_matrix(settings, amplitudes) -> np.ndarray:
+    """Sideband weights of each setting as zero-padded rows over p in [-P_max, P_max].
+
+    amplitudes[s] lists J_0 .. J_P(c) of settings[s]; column j holds offset
+    p = j - P_max, for P_max the largest kept order P.
+    """
+    p_max = max(len(js) for js in amplitudes) - 1
+    bessel = np.zeros((len(amplitudes), p_max + 1))
+    for row, js in zip(bessel, amplitudes):
+        row[:len(js)] = js
     offsets = np.arange(-p_max, p_max + 1)
     # J_{-p} = (-1)**p J_p
-    amps = np.where((offsets < 0) & (offsets % 2 == 1), -1.0, 1.0) * js[np.abs(offsets)]
-    angles = offsets * (setting.phase - 0.5 * math.pi)
-    return offsets, amps * (np.cos(angles) + 1j * np.sin(angles))
+    amps = np.where((offsets < 0) & (offsets % 2 == 1), -1.0, 1.0) * bessel[:, np.abs(offsets)]
+    phases = np.array([setting.phase for setting in settings])
+    angles = offsets * (phases[:, None] - 0.5 * math.pi)
+    return amps * (np.cos(angles) + 1j * np.sin(angles))
 
 
 def apply_modulator(state: TwoPhotonState,
@@ -222,50 +242,68 @@ def parity_tables(bins_a,
     given, on both arms. Each table equals the dense pipeline's
     (apply_modulator on A, then on B, then parity_probabilities with the
     model) to rounding, and the same inputs raise the same errors; the
-    banded form in the module docstring computes it in O(K P). Each distinct
-    setting's kernel is built once per call.
+    banded form in the module docstring computes all of them in one batched
+    pass. Each distinct setting's sideband amplitudes are computed once per call.
     """
     if policy is None:
         policy = TruncationPolicy()
     bins, window_a = _alice_bins(bins_a)
     window_b = window_a.negated()
-    envelope = np.zeros(window_a.width, dtype=complex)
-    envelope[np.array(bins) - window_a.min_bin] = 1.0 / math.sqrt(len(bins))
-    if dispersion is not None and not dispersion.is_zero():
+    dispersed = dispersion is not None and not dispersion.is_zero()
+    if dispersed:
         _check_overrides(dispersion, window_a, "A")
         _check_overrides(dispersion, window_b, "B")
-        n = np.arange(window_a.min_bin, window_a.max_bin + 1)
-        envelope *= np.exp(1j * (dispersion.phases(n) + dispersion.phases(-n)))
 
-    grams = {}
+    # One scalar amplitude pass per distinct setting, in pair order, so that
+    # cap and window-bound errors come out in the dense pipeline's order.
+    rows = {}
+    amplitudes = []
 
-    def gram(setting, window):
-        if setting not in grams:
-            grams[setting] = _parity_gram(setting, policy)
-        p_max = grams[setting][0]
+    def row(setting, window):
+        index = rows.get(setting)
+        if index is None:
+            index = rows[setting] = len(amplitudes)
+            amplitudes.append(_sideband_amplitudes(setting.amplitude, policy))
+        p_max = len(amplitudes[index]) - 1
         _check_bin_bound(BinWindow(window.min_bin - p_max, window.max_bin + p_max),
                          DEFAULT_BIN_BOUND)
-        return grams[setting]
+        return index
 
-    pair_grams = [(gram(setting_a, window_a), gram(setting_b, window_b))
-                  for setting_a, setting_b in pairs]
+    pair_rows = [(row(setting_a, window_a), row(setting_b, window_b))
+                 for setting_a, setting_b in pairs]
+    if not pair_rows:
+        return []
 
-    reach = min(2 * max((g[0] for g in grams.values()), default=0), window_a.width - 1)
-    corr = _envelope_correlation(envelope, window_a.min_bin, reach)
+    weights = _kernel_matrix(list(rows), amplitudes)
+    p_max = weights.shape[1] // 2
+    reach = min(2 * p_max, window_a.width - 1)
+    grams = _parity_grams(weights)[:, :, 2 * p_max - reach:2 * p_max + reach + 1]
+    l1 = np.abs(weights).sum(axis=1).tolist()
+
+    # the envelope f(n) without its 1/sqrt(K) norm, which C_pi takes as a
+    # factor 1/K, so that a uniform envelope's C_pi are exact bin-pair counts
+    envelope = np.zeros(window_a.width, dtype=complex)
+    envelope[bins - window_a.min_bin] = 1.0
+    if dispersed:
+        n = np.arange(window_a.min_bin, window_a.max_bin + 1)
+        envelope *= np.exp(1j * (dispersion.phases(n) + dispersion.phases(-n)))
+    corr = _envelope_correlation(envelope, window_a.min_bin, reach) / bins.size
+
+    # m[k, pi, s, t] = sum_d C_pi(d) g^A_s(d) g^B_t(-d) for pair k; the Gram
+    # rows are zero past each setting's own reach 2P
+    index_a, index_b = np.array(pair_rows).T
+    m = np.einsum("pd,ksd,ktd->kpst", corr, grams[index_a], grams[index_b, :, ::-1])
+    values = (m[:, 0] + m[:, 1, ::-1, ::-1]).real.reshape(-1, 4).tolist()
+
     tol = policy.epsilon * policy.epsilon
     tables = []
-    for (p_a, g_a, l1_a), (p_b, g_b, l1_b) in pair_grams:
-        d = min(2 * p_a, 2 * p_b, reach)
-        # m[pi, s, t] = sum_d C_pi(d) g^A_s(d) g^B_t(-d)
-        m = np.einsum("pd,sd,td->pst", corr[:, reach - d:reach + d + 1],
-                      g_a[:, 2 * p_a - d:2 * p_a + d + 1],
-                      g_b[:, ::-1][:, 2 * p_b - d:2 * p_b + d + 1])
-        table = ProbTable(*(float(v) for v in (m[0] + m[1, ::-1, ::-1]).real.ravel()))
+    for (row_a, row_b), table_values in zip(pair_rows, values):
+        table = ProbTable(*table_values)
         # Each kernel u keeps all but t <= epsilon**2 of its squared norm, and
         # |sum_p u(p) e^{ip theta}| <= sum_p |u(p)|. The correlated state's
         # sideband phases are uniform on each arm, so by Cauchy-Schwarz the
         # total is 1 - t_A - t_B + X with |X| <= epsilon**2 (1 + l1_A)(1 + l1_B).
-        spread = tol * (1.0 + l1_a) * (1.0 + l1_b)
+        spread = tol * (1.0 + l1[row_a]) * (1.0 + l1[row_b])
         low, high = 1.0 - 2.0 * tol - spread - 1e-12, 1.0 + spread + 1e-12
         if not low <= table.total <= high:
             raise ProbabilitySumError(
@@ -275,33 +313,24 @@ def parity_tables(bins_a,
     return tables
 
 
-def _parity_gram(setting: ModulationSetting,
-                 policy: TruncationPolicy) -> tuple[int, np.ndarray, float]:
-    """Kept order P, the Gram sums g_pi(d) as rows pi = 0, 1 indexed by d + 2P, and sum_p |u(p)|."""
-    offsets, weights = modulation_kernel(setting, policy)
-    reversed_conj = np.conj(weights[::-1])
-    g = np.array([np.convolve(weights * (offsets % 2 == parity), reversed_conj)
-                  for parity in (0, 1)])
-    return int(offsets[-1]), g, float(np.abs(weights).sum())
+def _parity_grams(weights: np.ndarray) -> np.ndarray:
+    """Gram sums g_pi(d) = sum_{p = pi mod 2} u(p) u*(p - d) of each row u, as [row, pi, d + 2P].
+
+    The outer products u(p) u*(q), with q reversed and each row p skewed right
+    by its index, line up p - q = d in column d + 2P; the parity masks then sum
+    each column over p.
+    """
+    count, width = weights.shape
+    skew = np.zeros((count, width, 2 * width), dtype=complex)
+    np.multiply(weights[:, :, None], np.conj(weights[:, None, ::-1]), out=skew[:, :, :width])
+    skew = skew.reshape(count, -1)[:, :width * (2 * width - 1)].reshape(count, width, -1)
+    offsets = np.arange(width) - width // 2
+    return (offsets % 2 == np.array([[0], [1]])) @ skew
 
 
 def _envelope_correlation(envelope: np.ndarray, min_bin: int, reach: int) -> np.ndarray:
     """C_pi(d) = sum_{n = pi mod 2} f(n) f*(n + d) as rows pi = 0, 1 indexed by d + reach."""
     parity = np.arange(min_bin, min_bin + envelope.size) % 2
-    split = envelope[:, None] * (parity[:, None] == (0, 1))
     padded = np.concatenate([np.zeros(reach), envelope, np.zeros(reach)])
-    # row d + reach of the view holds f(n + d) for the window's bins n
-    shifted = np.lib.stride_tricks.sliding_window_view(padded, envelope.size)
-    return (np.conj(shifted) @ split).T
-
-
-def phase_state(varphi: float, window: BinWindow) -> np.ndarray:
-    """Truncated translation eigenvector with entry e^{i n varphi} / sqrt(2 pi) at bin n.
-
-    Unnormalized; intended for property tests (sharp truncation corrupts the
-    window edges, so checks should use interior entries only).
-    """
-    if window.width < 3:
-        raise InvalidInputError("phase-state window must span at least 3 bins")
-    n = np.arange(window.min_bin, window.max_bin + 1)
-    return np.exp(1j * n * varphi) / math.sqrt(2.0 * math.pi)
+    # np.correlate(a, v, "valid")[k] = sum_n a(n + k) v*(n), and a(n + k) = f(n + k - reach)
+    return np.conj([np.correlate(padded, envelope * (parity == pi), "valid") for pi in (0, 1)])

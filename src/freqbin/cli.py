@@ -402,20 +402,20 @@ def _cmd_chsh_montecarlo(args, config: RunConfig) -> int:
 
 def _cmd_simulate(args, config: RunConfig) -> int:
     out_dir = Path(args.out or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
     quad = _quad_from_args(args)
     model = config.measurement
-    written = []
     tables = _closed_form_tables(quad, model.crosstalk)
+    outputs = {}  # every check runs before the output directory is made
     for index, (probs, (la, lb)) in enumerate(zip(tables, PAIR_LABELS)):
         histogram = synthesize_histogram(probs, model, config.seed + index)
-        hist_path = out_dir / f"hist_{la}{lb}.csv"
-        _write(hist_path, emit_histogram(histogram))
         record = extract_counts(histogram, DEFAULT_PEAK_WINDOW, DEFAULT_BACKGROUND_WINDOW,
                                 duration_s=model.duration, labels=(la, lb))
-        record_path = out_dir / f"record_{la}{lb}.json"
-        _write(record_path, _json_text(record.to_json_dict()))
-        written.extend([hist_path.name, record_path.name])
+        outputs[f"hist_{la}{lb}.csv"] = emit_histogram(histogram)
+        outputs[f"record_{la}{lb}.json"] = _json_text(record.to_json_dict())
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in outputs.items():
+        _write(out_dir / name, text)
+    written = list(outputs)
     run_path = out_dir / "simulate.run.json"
     _write(run_path, _json_text(_record("simulate", config, _quad_dict(quad),
                                         {"files": written,

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from .errors import InvalidInputError
 from .params import DispersionProfile, MeasurementModel, TruncationPolicy
 
+MAX_BINS = 1_000_000  # widest bin range parse_bins builds
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -94,7 +96,7 @@ def load_config(path) -> RunConfig:
 
 
 def parse_bins(text: str) -> tuple[int, ...]:
-    """Bin list from '1,2,3' or an inclusive range 'lo..hi'."""
+    """Bin list from '1,2,3' or an inclusive range 'lo..hi' of at most MAX_BINS bins."""
     text = text.strip()
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
@@ -104,6 +106,8 @@ def parse_bins(text: str) -> tuple[int, ...]:
             raise InvalidInputError(f"bad bin range {text!r}") from None
         if hi < lo:
             raise InvalidInputError(f"bad bin range {text!r}")
+        if hi - lo >= MAX_BINS:
+            raise InvalidInputError(f"bin range {text!r} has {hi - lo + 1} bins; at most {MAX_BINS} allowed")
         return tuple(range(lo, hi + 1))
     try:
         return tuple(int(part) for part in text.split(","))

@@ -286,7 +286,7 @@ def extract_counts(histogram: Histogram,
                    labels: tuple[str, str] = ("", "")) -> CountRecord:
     """Window the histogram into a CountRecord.
 
-    Raw integers are the peak-window sums; the background estimate is the
+    Raw integers are the exact peak-window sums; the background estimate is the
     background-window sum rescaled by the ratio of selected bin counts.
     Subtraction itself is deferred to the estimators. The histogram format
     carries no acquisition time, so duration_s is caller-supplied metadata.
@@ -304,8 +304,9 @@ def extract_counts(histogram: Histogram,
             raw.append(0)
             background.append(0.0)
         else:
-            raw.append(int(arr[peak].sum()))
-            background.append(float(arr[back].sum()) * ratio)
+            # Python int sums: int64 ones wrap past 2**63 - 1
+            raw.append(sum(arr[peak].tolist()))
+            background.append(float(sum(arr[back].tolist())) * ratio)
     return CountRecord(*raw, setting_labels=labels, duration=duration_s,
                        background_per_outcome=tuple(background))
 

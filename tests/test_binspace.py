@@ -2,18 +2,33 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from freqbin import (BinWindow, DispersionProfile, InvalidInputError, MeasurementModel,
                      ModulationSetting, ProbabilitySumError, TruncationPolicy, TwoPhotonState,
                      WindowBoundError, apply_dispersion, apply_modulator, bessel_j,
                      chsh_optimal_quad, correlated_state, effective_drive, ideal_probabilities,
-                     modulation_kernel, parity_probabilities, parity_tables, phase_state)
+                     modulation_kernel, parity_probabilities, parity_tables)
 from freqbin import binspace
 
 POLICY = TruncationPolicy()
+
+
+def phase_state(varphi, window):
+    """Truncated translation eigenvector with entry e^{i n varphi} / sqrt(2 pi) at bin n.
+
+    Unnormalized; sharp truncation corrupts the window edges, so checks use
+    interior entries only.
+    """
+    if window.width < 3:
+        raise InvalidInputError("phase-state window must span at least 3 bins")
+    n = np.arange(window.min_bin, window.max_bin + 1)
+    return np.exp(1j * n * varphi) / math.sqrt(2.0 * math.pi)
 
 
 def product_state(m, n):
@@ -69,6 +84,13 @@ class TestCorrelatedState:
             correlated_state([1, 2, 2])
         with pytest.raises(InvalidInputError):
             correlated_state([])
+
+    def test_unsorted_bins(self):
+        state = correlated_state([4, -2, 1])
+        assert state.window_a == BinWindow(-2, 4)
+        for n in (4, -2, 1):
+            assert abs(state.amplitude(n, -n) - 1 / math.sqrt(3)) < 1e-15
+        assert abs(state.norm - 1.0) < 1e-15
 
 
 class TestApplyModulator:
@@ -324,14 +346,15 @@ class TestParityTables:
                 assert abs(g - w) <= 1e-12
 
     def test_builds_each_distinct_kernel_once(self, monkeypatch):
-        calls = []
-        build = binspace.modulation_kernel
-        monkeypatch.setattr(binspace, "modulation_kernel",
-                            lambda setting, policy: calls.append(setting) or build(setting, policy))
+        rows = []
+        build = binspace._kernel_matrix
+        monkeypatch.setattr(binspace, "_kernel_matrix",
+                            lambda settings, amplitudes: rows.extend(settings)
+                            or build(settings, amplitudes))
         sb = ModulationSetting(0.6955, 0.0)
         pairs = [(ModulationSetting(0.6955, alpha), sb) for alpha in (0.1, 0.2, 0.3)]
         parity_tables(range(1, 7), pairs)
-        assert len(calls) == 4
+        assert len(rows) == 4
 
     def test_rejects_what_the_dense_path_rejects(self):
         pair = [(ModulationSetting(0.5, 0.0), ModulationSetting(0.5, 1.0))]
@@ -369,15 +392,85 @@ class TestParityTables:
         assert abs(banded - dense) <= 1e-12
 
     def test_probability_sum_check_trips_on_a_lossy_kernel(self, monkeypatch):
-        build = binspace.modulation_kernel
-
-        def lossy(setting, policy):
-            offsets, weights = build(setting, policy)
-            return offsets, 0.9 * weights
-
-        monkeypatch.setattr(binspace, "modulation_kernel", lossy)
+        build = binspace._kernel_matrix
+        monkeypatch.setattr(binspace, "_kernel_matrix",
+                            lambda settings, amplitudes: 0.9 * build(settings, amplitudes))
         with pytest.raises(ProbabilitySumError):
             parity_tables(range(1, 7), chsh_optimal_quad().pairs())
+
+    def test_bins_past_int64_are_a_window_bound_error(self):
+        pair = [(ModulationSetting(0.5, 0.0), ModulationSetting(0.5, 1.0))]
+        for bins in ([2**63], range(2**63 - 1, 2**63 + 1), [-2**63 - 1, 0]):
+            with pytest.raises(WindowBoundError):
+                parity_tables(bins, pair)
+            with pytest.raises(WindowBoundError):
+                correlated_state(bins)
+
+    def test_no_pairs_no_tables(self):
+        assert parity_tables(range(1, 7), []) == []
+
+    def test_peak_memory_is_linear_in_bins(self):
+        # A (4P + 1) x K table of envelope shifts would take ~33 K complex values here (P = 8).
+        bins = range(-500, 501)
+        pairs = [(ModulationSetting(0.35, 0.0), ModulationSetting(0.2318, 2.0)),
+                 (ModulationSetting(0.1, 1.0), ModulationSetting(0.35, math.pi))]
+        dispersion = DispersionProfile(1e-4)
+        parity_tables(bins, pairs, dispersion=dispersion)
+        tracemalloc.start()
+        try:
+            parity_tables(bins, pairs, dispersion=dispersion)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * len(bins) * np.dtype(complex).itemsize
+
+
+@st.composite
+def bin_sets(draw):
+    """A single bin, a sparse set, a run of negative bins, or a run of up to 121 bins."""
+    kind = draw(st.sampled_from(["single", "sparse", "negative", "run"]))
+    if kind == "single":
+        return [draw(st.integers(-60, 60))]
+    if kind == "sparse":
+        return draw(st.lists(st.integers(-60, 60), min_size=2, max_size=8, unique=True))
+    if kind == "negative":
+        high = draw(st.integers(-60, -1))
+        return range(draw(st.integers(high - 40, high)), high + 1)
+    low = draw(st.integers(-60, 0))
+    return range(low, low + draw(st.integers(1, 121)))
+
+
+class TestParityTablesProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_dense_oracle_on_every_entry(self, data):
+        bins = data.draw(bin_sets(), label="bins")
+        amplitude = st.just(0.0) | st.floats(0.0, 1.5)
+        pool = data.draw(st.lists(st.builds(ModulationSetting, amplitude, st.floats(0.0, 2 * math.pi)),
+                                  min_size=1, max_size=4), label="settings")
+        index = st.integers(0, len(pool) - 1)
+        pairs = [(pool[a], pool[b])
+                 for a, b in data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=6),
+                                       label="pairs")]
+        policy = TruncationPolicy(epsilon=data.draw(st.floats(1e-12, 0.5), label="epsilon"))
+        crosstalk = data.draw(st.none() | st.floats(0.0, 0.5), label="crosstalk")
+        model = None if crosstalk is None else MeasurementModel(crosstalk=crosstalk)
+        dispersion = None
+        if data.draw(st.booleans(), label="dispersed"):
+            # overrides must lie in both the A window and the mirrored B window
+            low, high = max(min(bins), -max(bins)), min(max(bins), -min(bins))
+            overrides = {}
+            if low <= high:
+                overrides = data.draw(st.dictionaries(st.integers(low, high), st.floats(-math.pi, math.pi),
+                                                      max_size=3), label="overrides")
+            dispersion = DispersionProfile(data.draw(st.floats(-0.01, 0.01), label="quadratic"),
+                                           overrides or None)
+        banded = parity_tables(bins, pairs, model, dispersion, policy)
+        dense = dense_tables(bins, pairs, model, dispersion, policy)
+        assert len(banded) == len(pairs)
+        for got, want in zip(banded, dense):
+            for g, w in zip(got.as_tuple(), want.as_tuple()):
+                assert abs(g - w) <= 1e-12
 
 
 class TestPhaseState:

@@ -417,15 +417,20 @@ class TestExitCodes:
 
     def test_probability_sum_fault_is_data_error(self, monkeypatch, capsys):
         from freqbin import binspace
-        build = binspace.modulation_kernel
-
-        def lossy(setting, policy):
-            offsets, weights = build(setting, policy)
-            return offsets, 0.9 * weights
-
-        monkeypatch.setattr(binspace, "modulation_kernel", lossy)
+        build = binspace._kernel_matrix
+        monkeypatch.setattr(binspace, "_kernel_matrix",
+                            lambda settings, amplitudes: 0.9 * build(settings, amplitudes))
         assert run_cli("chsh", "finite") == 3
         assert "sums to" in capsys.readouterr().err
+
+    def test_bins_past_int64_are_data_error(self, capsys):
+        for bins in ("9223372036854775807..9223372036854775808", "-9223372036854775809,0"):
+            assert run_cli("chsh", "finite", f"--bins={bins}") == 3
+            assert "int64" in capsys.readouterr().err
+
+    def test_bin_range_wider_than_max_bins_is_data_error(self, capsys):
+        assert run_cli("chsh", "finite", "--bins", "1..10000000000") == 3
+        assert "at most 1000000 allowed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ("chsh", "eval", "--pair-rate", "inf"), ("chsh", "eval", "--pair-rate", "nan"),
@@ -438,6 +443,7 @@ class TestExitCodes:
         assert run_cli(*argv, "--out", str(tmp_path / "out")) == 3
         err = capsys.readouterr().err
         assert "finite" in err or "expected counts above" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("argv, message", [
         (("chsh", "optimize", "--tolerance", "nan"), "tolerance"),
@@ -565,6 +571,9 @@ class TestCliFuzz:
     @example(argv=["chsh", "finite", "--center-frequency=nan"])
     @example(argv=["pattern", "--rf-frequency=inf"])
     @example(argv=["chsh", "eval", "--dispersion-quadratic=nan"])
+    @example(argv=["chsh", "finite", "--bins=9223372036854775807..9223372036854775808"])
+    @example(argv=["pattern", "--pattern-model=finite", "--bins=-9223372036854775809,0"])
+    @example(argv=["chsh", "finite", "--bins=1..10000000000"])
     def test_exit_code_and_outputs(self, fuzz_inputs, argv):
         with tempfile.TemporaryDirectory() as work:
             out = Path(work) / "out"

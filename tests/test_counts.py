@@ -426,6 +426,17 @@ class TestExtractCounts:
         assert record.counts() == (42, 42, 42, 42)
         assert record.background_per_outcome == (0.0, 0.0, 0.0, 0.0)
 
+    def test_window_sums_do_not_wrap_past_int64(self):
+        # four peak bins of 2**62 once summed to 0 in int64
+        counts = {p: np.zeros(100, dtype=np.int64) for p in OUTCOMES}
+        for arr in counts.values():
+            arr[50:54] = 2**62
+            arr[80:88] = 2**62
+        histogram = Histogram(bin_width_s=1e-9, start_index=-50, counts=counts)
+        record = extract_counts(histogram, (0.0, 4e-9), (30e-9, 38e-9))
+        assert record.counts() == (2**64,) * 4
+        assert record.background_per_outcome == (float(2**64),) * 4
+
     def test_overlapping_windows_rejected(self):
         with pytest.raises(InvalidInputError):
             extract_counts(self.flat_histogram(), (0.0, 10e-9), (5e-9, 20e-9))
