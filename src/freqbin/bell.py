@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import X_MAX, bessel_j
+from .bessel import X_MAX, _j0_j1, bessel_j
 from .binspace import parity_tables
 from .closedform import EffectiveDrive, effective_drive
 from .errors import InvalidInputError, OptimizationError
@@ -126,7 +126,7 @@ def optimize_general(initial: SettingQuad,
     the validated Bessel domain; restarts must be an integer >= 1 and seed an
     integer >= 0 (bool is neither).
     """
-    from scipy.optimize import minimize
+    from scipy.optimize import Bounds, minimize
 
     if not 1.0 <= amplitude_bound <= MAX_AMPLITUDE_BOUND:  # also rejects nan
         raise InvalidInputError(f"amplitude_bound must lie in [1, {MAX_AMPLITUDE_BOUND}]")
@@ -145,7 +145,7 @@ def optimize_general(initial: SettingQuad,
         starts.append(np.concatenate([rng.uniform(0.0, amplitude_bound, 4),
                                       rng.uniform(0.0, two_pi, 4)]))
 
-    bounds = [(0.0, amplitude_bound)] * 4 + [(-two_pi, 2.0 * two_pi)] * 4
+    bounds = Bounds([0.0] * 4 + [-two_pi] * 4, [amplitude_bound] * 4 + [2.0 * two_pi] * 4)
     options = {"ftol": 1e-15, "gtol": 1e-11, "maxiter": 1000}
     best = min((minimize(_neg_chsh_and_gradient, x0, jac=True, method="L-BFGS-B",
                          bounds=bounds, options=options) for x0 in starts),
@@ -176,8 +176,9 @@ def _neg_chsh_and_gradient(x) -> tuple[float, np.ndarray]:
         a, b, diff = v[i], v[j], v[i + 4] - v[j + 4]
         cos_diff = math.cos(diff)
         d = math.sqrt(max(a * a + b * b + 2.0 * a * b * cos_diff, 0.0))
-        s += sign * bessel_j(0, 2.0 * d)
-        slope = sign * (-bessel_j(1, 2.0 * d) / d if d else -1.0)  # sign * dE/d(D^2)
+        j0, j1 = _j0_j1(2.0 * d)
+        s += sign * j0
+        slope = sign * (-j1 / d if d else -1.0)  # sign * dE/d(D^2)
         grad[i] += 2.0 * slope * (a + b * cos_diff)
         grad[j] += 2.0 * slope * (b + a * cos_diff)
         phase_term = 2.0 * slope * a * b * math.sin(diff)

@@ -93,8 +93,14 @@ def _alice_bins(bins_a) -> tuple[np.ndarray, BinWindow]:
 
 
 def correlated_state(bins_a) -> TwoPhotonState:
-    """Uniform frequency-correlated state (1/sqrt(K)) sum_n |n>|-n> over the given Alice bins."""
+    """Uniform frequency-correlated state (1/sqrt(K)) sum_n |n>|-n> over the given Alice bins.
+
+    The bins must lie in |n| <= DEFAULT_BIN_BOUND: the dense table holds the
+    square of the window's width, so a wider span raises WindowBoundError
+    before anything is allocated.
+    """
     bins, window_a = _alice_bins(bins_a)
+    _check_bin_bound(window_a, DEFAULT_BIN_BOUND)
     window_b = window_a.negated()
     amp = np.zeros((window_a.width, window_b.width), dtype=complex)
     # Bob's bin -n sits at column -n - window_b.min_bin = window_a.max_bin - n

@@ -190,13 +190,16 @@ def _check_poisson_means(means) -> None:
 
 def emit_histogram(histogram: Histogram) -> str:
     """Serialize to the histogram CSV format (canonical pair and index order)."""
-    lines = [f"# coincidence-histogram v1, bin_width_s={histogram.bin_width_s!r}"]
+    parts = [f"# coincidence-histogram v1, bin_width_s={histogram.bin_width_s!r}\n"]
     start = histogram.start_index
+    n = histogram.n_bins
+    fields = [0] * (2 * n)  # index, count, index, count, ...
+    fields[0::2] = range(start, start + n)
     for pair in OUTCOMES:
         if pair in histogram.counts:
-            lines.extend(f"{pair},{index},{count}" for index, count
-                         in enumerate(histogram.counts[pair].tolist(), start))
-    return "\n".join(lines) + "\n"
+            fields[1::2] = histogram.counts[pair].tolist()
+            parts.append((pair + ",%d,%d\n") * n % tuple(fields))
+    return "".join(parts)
 
 
 def ingest_histogram(source) -> Histogram:

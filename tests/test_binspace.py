@@ -406,6 +406,14 @@ class TestParityTables:
             with pytest.raises(WindowBoundError):
                 correlated_state(bins)
 
+    def test_wide_correlated_state_is_a_window_bound_error(self):
+        # the dense table is width**2 complex entries: [-2**40, 2**40] used to fail
+        # inside numpy, and [-30000, 30000] would have asked for ~58 GB
+        for bins in ([-2**40, 2**40], [-30000, 30000], [0, 513], [-513]):
+            with pytest.raises(WindowBoundError):
+                correlated_state(bins)
+        assert correlated_state([-512, 512]).amplitudes.shape == (1025, 1025)
+
     def test_no_pairs_no_tables(self):
         assert parity_tables(range(1, 7), []) == []
 

@@ -281,13 +281,29 @@ HEADERS = ("# coincidence-histogram v1, bin_width_s=5e-10",
            "# coincidence-histogram v1, bin_width_s=2.5E-10")
 FAULTS = ("none", "arity", "unknown pair", "non-integer", "negative count", "non-monotone",
           "span", "non-utf8", "no rows")
-PADS = ("", " ", "\t", "  ")
+PADS = ("", " ", "\t", "  ", "\u3000")  # U+3000 is the ideographic space
+DIGIT_SETS = ("\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",  # Arabic-Indic
+              "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19",  # fullwidth
+              "\u0966\u0967\u0968\u0969\u096a\u096b\u096c\u096d\u096e\u096f")  # Devanagari
+
+
+def int_text(rng, value):
+    """value as canonical text, or spelled as '+12', '1_000' or in non-ASCII digits, which int() reads."""
+    text = str(value)
+    roll = rng.random()
+    if roll < 0.1 and value >= 0:
+        return "+" + text
+    if roll < 0.15 and len(text.lstrip("-")) >= 2:
+        cut = rng.randint(len(text) - len(text.lstrip("-")) + 1, len(text) - 1)
+        return text[:cut] + "_" + text[cut:]
+    if roll < 0.2:
+        return text.translate(str.maketrans("0123456789", rng.choice(DIGIT_SETS)))
+    return text
 
 
 def styled_row(rng, pair, index, count):
-    """One data row, canonical or with padding and '+' signs the format tolerates."""
-    fields = [pair, f"+{index}" if index >= 0 and rng.random() < 0.1 else str(index),
-              f"+{count}" if rng.random() < 0.1 else str(count)]
+    """One data row, canonical or with the padding and integer spellings the format tolerates."""
+    fields = [pair, int_text(rng, index), int_text(rng, count)]
     if rng.random() < 0.2:
         fields = [rng.choice(PADS) + field + rng.choice(PADS) for field in fields]
     return ",".join(fields)
@@ -377,6 +393,18 @@ class TestParserEquivalence:
         assert all(HistogramFormatError in kinds for fault, kinds in seen.items() if fault != "none")
         assert seen["none"] == {"ok"} and "ok" in seen["span"]
 
+    def test_integer_spellings_int_reads_are_accepted(self):
+        header = "# coincidence-histogram v1, bin_width_s=5e-10\n"
+        body = ("EE,-1_0,1_000\n"
+                "EE,\u0663,\u0664\u0662\n"              # Arabic-Indic 3 and 42
+                "\u3000EO\u3000,\u3000-10\u3000,\u30007\u3000\n"
+                "\u3000\n")
+        assert assert_same_parse(lambda: header + body, body) == "ok"
+        histogram = ingest_histogram(header.encode() + body.encode("utf-8"))
+        assert histogram.start_index == -10
+        assert histogram.counts["EE"].tolist() == [1000] + [0] * 12 + [42]
+        assert histogram.counts["EO"].tolist() == [7] + [0] * 13
+
     def test_far_delay_bins_match_oracle(self):
         header = "# coincidence-histogram v1, bin_width_s=5e-10\n"
         for body in (f"EE,{10**27},5\nOO,{10**27 + 2},1\nEE,{10**27 + 1},3\n",
@@ -404,6 +432,13 @@ class TestEmitMatchesOracle:
         for seed in range(100):
             histogram = synthesize_histogram(probs, experiment_model(), seed=seed)
             assert emit_histogram(histogram) == oracle_emit_histogram(histogram)
+
+    @pytest.mark.parametrize("start", [-10**30, -2**63, -1000, -1, 0, 1, 7, 2**63, 10**30])
+    def test_largest_counts_either_side_of_index_zero(self, start):
+        top = 2**63 - 1  # the largest count int64 holds
+        counts = {"EO": np.array([top, 0, top]), "OO": np.array([1, top, 2])}
+        histogram = Histogram(bin_width_s=1e-9, start_index=start, counts=counts)
+        assert emit_histogram(histogram) == oracle_emit_histogram(histogram)
 
 
 class TestExtractCounts:
