@@ -25,6 +25,7 @@ from .params import DispersionProfile, MeasurementModel, ModulationSetting, Trun
 
 PAIR_LABELS = (("A0", "B0"), ("A0", "B1"), ("A1", "B0"), ("A1", "B1"))
 MAX_AMPLITUDE_BOUND = X_MAX / 4.0  # 2D <= 4 * bound must stay in the Bessel domain
+MAX_RESTARTS = 10_000  # each restart is one L-BFGS-B solve of ~5 ms
 
 # x = (a0, a1, b0, b1, alpha0, alpha1, beta0, beta1): amplitude indices of each
 # correlator's (Alice, Bob) settings in order 00, 01, 10, 11; phases sit 4 further on
@@ -123,8 +124,8 @@ def optimize_general(initial: SettingQuad,
     the bounds. Reports the best quad found (never raises on a poor run),
     gauge-fixed so that alpha_0 = 0. amplitude_bound must lie in
     [1, MAX_AMPLITUDE_BOUND], where every drive 2D <= 4 * bound stays inside
-    the validated Bessel domain; restarts must be an integer >= 1 and seed an
-    integer >= 0 (bool is neither).
+    the validated Bessel domain; restarts must be an integer in
+    [1, MAX_RESTARTS] and seed an integer >= 0 (bool is neither).
     """
     from scipy.optimize import Bounds, minimize
 
@@ -132,6 +133,8 @@ def optimize_general(initial: SettingQuad,
         raise InvalidInputError(f"amplitude_bound must lie in [1, {MAX_AMPLITUDE_BOUND}]")
     if not _is_int(restarts) or restarts < 1:
         raise InvalidInputError(f"restarts must be an integer >= 1, got {restarts!r}")
+    if restarts > MAX_RESTARTS:
+        raise InvalidInputError(f"restarts must be at most {MAX_RESTARTS}, got {restarts}")
     if not _is_int(seed) or seed < 0:
         raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
 

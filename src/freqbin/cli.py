@@ -27,6 +27,22 @@ from .params import ModulationSetting
 
 USAGE_EXIT = 2
 DATA_EXIT = 3
+MAX_STEPS = 10_000  # pattern sweep points; each is one finite-bin setting
+MAX_ENSEMBLES = 1_000_000  # montecarlo ensembles, ~170 us each
+
+# Flags that override one config field: (flag, section or None for top level, key, type, help)
+_CONFIG_FLAGS = (
+    ("--rf-frequency", None, "rf_frequency", float, None),
+    ("--center-frequency", None, "center_frequency", float, None),
+    ("--epsilon", "truncation", "epsilon", float, "truncation amplitude tolerance"),
+    ("--max-order", "truncation", "max_order", int, "truncation hard cap"),
+    ("--crosstalk", "measurement", "crosstalk", float, None),
+    ("--efficiency", "measurement", "efficiency", float, None),
+    ("--pair-rate", "measurement", "pair_rate", float, None),
+    ("--accidental-rate", "measurement", "accidental_rate", float, None),
+    ("--duration", "measurement", "duration", float, None),
+    ("--dispersion-quadratic", "dispersion", "quadratic_coefficient", float, None),
+)
 
 
 class _UsageError(Exception):
@@ -57,16 +73,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output file (or directory for simulate)")
     common.add_argument("--format", choices=("csv", "json"), dest="out_format")
     common.add_argument("--bins", help="bin list '1,2,3' or range '1..6'")
-    common.add_argument("--rf-frequency", type=float)
-    common.add_argument("--center-frequency", type=float)
-    common.add_argument("--epsilon", type=float, help="truncation amplitude tolerance")
-    common.add_argument("--max-order", type=int, help="truncation hard cap")
-    common.add_argument("--crosstalk", type=float)
-    common.add_argument("--efficiency", type=float)
-    common.add_argument("--pair-rate", type=float)
-    common.add_argument("--accidental-rate", type=float)
-    common.add_argument("--duration", type=float)
-    common.add_argument("--dispersion-quadratic", type=float)
+    for flag, _, _, kind, text in _CONFIG_FLAGS:
+        common.add_argument(flag, type=kind, help=text)
 
     settings = argparse.ArgumentParser(add_help=False)
     settings.add_argument("--a0", type=float, default=0.2318)
@@ -141,28 +149,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> RunConfig:
-    config = load_config(args.config) if getattr(args, "config", None) else RunConfig()
+    config = load_config(args.config) if args.config else RunConfig()
     data = config.to_dict()
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         data["seed"] = args.seed
-    if getattr(args, "bins", None) is not None:
+    if args.bins is not None:
         data["bins"] = list(parse_bins(args.bins))
-    for flag, key in (("rf_frequency", "rf_frequency"), ("center_frequency", "center_frequency")):
-        value = getattr(args, flag, None)
+    for flag, section, key, _, _ in _CONFIG_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
-            data[key] = value
-    for flag, section, key in (
-            ("epsilon", "truncation", "epsilon"),
-            ("max_order", "truncation", "max_order"),
-            ("crosstalk", "measurement", "crosstalk"),
-            ("efficiency", "measurement", "efficiency"),
-            ("pair_rate", "measurement", "pair_rate"),
-            ("accidental_rate", "measurement", "accidental_rate"),
-            ("duration", "measurement", "duration"),
-            ("dispersion_quadratic", "dispersion", "quadratic_coefficient")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            data[section][key] = value
+            (data[section] if section else data)[key] = value
     return RunConfig.from_dict(data)
 
 
@@ -194,15 +190,15 @@ def _record(command: str, config: RunConfig, parameters: dict, results: dict) ->
             "parameters": parameters, "results": results}
 
 
-def _emit_report(args, payload: dict, csv_lines: list[str]) -> None:
-    """Write a report to --out as JSON (default) or CSV with a sibling run record."""
-    if not args.out:
+def _emit_report(out, out_format, payload: dict, csv_lines: list[str]) -> None:
+    """Write a report to out as JSON (format None or "json") or CSV with a sibling run record."""
+    if not out:
         return
-    if (args.out_format or "json") == "csv":
-        _write(args.out, "\n".join(csv_lines) + "\n")
-        _write(str(args.out) + ".run.json", _json_text(payload))
+    if out_format == "csv":
+        _write(out, "\n".join(csv_lines) + "\n")
+        _write(str(out) + ".run.json", _json_text(payload))
     else:
-        _write(args.out, _json_text(payload))
+        _write(out, _json_text(payload))
 
 
 def _setting_dict(setting: ModulationSetting) -> dict:
@@ -214,10 +210,21 @@ def _quad_dict(quad: SettingQuad) -> dict:
             "b0": _setting_dict(quad.b0), "b1": _setting_dict(quad.b1)}
 
 
-def _closed_form_tables(quad: SettingQuad, crosstalk: float) -> list:
+def _closed_form_tables(pairs, crosstalk: float) -> list:
     """Closed-form parity table of each setting pair, with interleaver crosstalk."""
     return [apply_crosstalk(ideal_probabilities(effective_drive(sa, sb)), crosstalk)
-            for sa, sb in quad.pairs()]
+            for sa, sb in pairs]
+
+
+def _pair_seed(seed: int, ensemble: int, pair: int) -> int:
+    """Seed of setting pair `pair` (0-3) in ensemble `ensemble`; a single run is ensemble 0."""
+    return seed + 4 * ensemble + pair
+
+
+def _draw_records(tables, model, seed: int, ensemble: int = 0) -> list:
+    """One ensemble's synthetic count record per setting pair, in PAIR_LABELS order."""
+    return [simulate_counts(probs, model, _pair_seed(seed, ensemble, index), labels=label)
+            for index, (probs, label) in enumerate(zip(tables, PAIR_LABELS))]
 
 
 # --- pattern -----------------------------------------------------------------
@@ -225,6 +232,8 @@ def _closed_form_tables(quad: SettingQuad, crosstalk: float) -> list:
 def _cmd_pattern(args, config: RunConfig) -> int:
     if args.steps < 2:
         raise _UsageError("--steps must be at least 2")
+    if args.steps > MAX_STEPS:
+        raise InvalidInputError(f"--steps must be at most {MAX_STEPS}, got {args.steps}")
     if not args.alpha_stop > args.alpha_start:
         raise _UsageError("--alpha-stop must exceed --alpha-start")
     if args.a < 0 or args.b < 0:
@@ -232,66 +241,42 @@ def _cmd_pattern(args, config: RunConfig) -> int:
 
     alphas = [args.alpha_start + k * (args.alpha_stop - args.alpha_start) / (args.steps - 1)
               for k in range(args.steps)]
-    want_ideal = args.pattern_model in ("ideal", "both")
-    want_finite = args.pattern_model in ("finite", "both")
-
-    ideal_rows = []
-    if want_ideal:
-        for alpha in alphas:
-            drive = effective_drive(ModulationSetting(args.a, alpha), ModulationSetting(args.b, args.beta))
-            ideal_rows.append(ideal_probabilities(drive).as_tuple())
-
-    finite_rows = []
-    if want_finite:
-        setting_b = ModulationSetting(args.b, args.beta)
-        pairs = [(ModulationSetting(args.a, alpha), setting_b) for alpha in alphas]
-        finite_rows = [table.as_tuple() for table in parity_tables(
+    setting_b = ModulationSetting(args.b, args.beta)
+    pairs = [(ModulationSetting(args.a, alpha), setting_b) for alpha in alphas]
+    curves = {}  # the ideal curve carries no crosstalk; the finite one applies the config's
+    if args.pattern_model in ("ideal", "both"):
+        curves["ideal"] = [table.as_tuple() for table in _closed_form_tables(pairs, 0.0)]
+    if args.pattern_model in ("finite", "both"):
+        curves["finite"] = [table.as_tuple() for table in parity_tables(
             config.bins, pairs, config.measurement, config.dispersion, config.truncation)]
 
     results: dict = {}
-    if want_ideal and want_finite:
-        gap = max(abs(i - f) for irow, frow in zip(ideal_rows, finite_rows)
-                  for i, f in zip(irow, frow))
-        results["max_curve_gap"] = gap
+    if len(curves) == 2:
+        results["max_curve_gap"] = max(abs(i - f) for irow, frow in zip(*curves.values())
+                                       for i, f in zip(irow, frow))
 
     parameters = {"a": args.a, "b": args.b, "beta": args.beta,
                   "alpha_start": args.alpha_start, "alpha_stop": args.alpha_stop,
                   "steps": args.steps, "model": args.pattern_model}
-    out = args.out or "pattern.csv"
     out_format = args.out_format or "csv"
-    if out_format == "json":
-        payload = _record("pattern", config, parameters, results)
+    out = args.out or f"pattern.{out_format}"
+    payload = _record("pattern", config, parameters, results)
+    lines = []
+    if out_format == "json":  # the curves go into the JSON report, not into a CSV's run record
         payload["results"]["alpha"] = alphas
-        if want_ideal:
-            payload["results"]["ideal"] = [list(r) for r in ideal_rows]
-        if want_finite:
-            payload["results"]["finite"] = [list(r) for r in finite_rows]
-        _write(out, _json_text(payload))
+        payload["results"].update((name, [list(row) for row in rows])
+                                  for name, rows in curves.items())
     else:
-        lines = [_pattern_header(want_ideal, want_finite)]
-        for k, alpha in enumerate(alphas):
-            row = [_fmt(alpha)]
-            if want_ideal:
-                row.extend(_fmt(v) for v in ideal_rows[k])
-            if want_finite:
-                row.extend(_fmt(v) for v in finite_rows[k])
-            lines.append(",".join(row))
-        _write(out, "\n".join(lines) + "\n")
-        _write(str(out) + ".run.json", _json_text(_record("pattern", config, parameters, results)))
+        names = ("p_ee", "p_eo", "p_oe", "p_oo")
+        lines.append(",".join(["alpha"] + [f"{n}_{name}" if len(curves) == 2 else n
+                                           for name in curves for n in names]))
+        for alpha, *rows in zip(alphas, *curves.values()):
+            lines.append(",".join([_fmt(alpha)] + [_fmt(v) for row in rows for v in row]))
+    _emit_report(out, out_format, payload, lines)
     print(f"pattern: wrote {args.steps} sweep points to {out}")
     if "max_curve_gap" in results:
         print(f"pattern: max ideal/finite curve gap {results['max_curve_gap']:.6e}")
     return 0
-
-
-def _pattern_header(want_ideal: bool, want_finite: bool) -> str:
-    cols = ["alpha"]
-    names = ("p_ee", "p_eo", "p_oe", "p_oo")
-    if want_ideal and want_finite:
-        cols += [f"{n}_ideal" for n in names] + [f"{n}_finite" for n in names]
-    else:
-        cols += list(names)
-    return ",".join(cols)
 
 
 # --- chsh --------------------------------------------------------------------
@@ -299,28 +284,27 @@ def _pattern_header(want_ideal: bool, want_finite: bool) -> str:
 def _cmd_chsh_eval(args, config: RunConfig) -> int:
     quad = _quad_from_args(args)
     theory = chsh_ideal(quad)
-    tables = _closed_form_tables(quad, config.measurement.crosstalk)
-    records = [simulate_counts(probs, config.measurement, config.seed + index, labels=label)
-               for index, (probs, label) in enumerate(zip(tables, PAIR_LABELS))]
+    tables = _closed_form_tables(quad.pairs(), config.measurement.crosstalk)
+    records = _draw_records(tables, config.measurement, config.seed)
     s, sigma_s, c_table = chsh_estimate(records, subtract=True)
-    sigmas = [math.sqrt(correlator_estimate(rec, True, None)[1]) for rec in records]
 
     print(f"{'pair':6s} {'settings':48s} {'theory':>8s} {'experiment':>18s}")
-    for (label_a, label_b), (sa, sb), e_theory, c, sig in zip(PAIR_LABELS, quad.pairs(),
-                                                              theory.correlators, c_table, sigmas):
+    lines = ["pair,theory,experiment,sigma"]
+    for (la, lb), (sa, sb), e_theory, c, rec in zip(PAIR_LABELS, quad.pairs(),
+                                                    theory.correlators, c_table, records):
+        sig = math.sqrt(correlator_estimate(rec, True, None)[1])
         setting_text = (f"a={sa.amplitude:.4f} alpha={sa.phase:.4f} "
                         f"b={sb.amplitude:.4f} beta={sb.phase:.4f}")
-        print(f"{label_a},{label_b:3s} {setting_text:48s} {e_theory:8.3f} {c:10.3f} +/- {sig:.3f}")
+        print(f"{la},{lb:3s} {setting_text:48s} {e_theory:8.3f} {c:10.3f} +/- {sig:.3f}")
+        lines.append(f"{la}{lb},{_fmt(e_theory)},{_fmt(c)},{_fmt(sig)}")
     print(f"{'S':6s} {'':48s} {theory.s_value:8.3f} {s:10.3f} +/- {sigma_s:.3f}")
+    lines.append(f"S,{_fmt(theory.s_value)},{_fmt(s)},{_fmt(sigma_s)}")
 
     results = {"theory": {"correlators": list(theory.correlators), "s": theory.s_value},
                "experiment": {"c_table": list(c_table), "s": s, "sigma_s": sigma_s},
                "records": [rec.to_json_dict() for rec in records]}
-    lines = ["pair,theory,experiment,sigma"]
-    for (la, lb), e_theory, c, sig in zip(PAIR_LABELS, theory.correlators, c_table, sigmas):
-        lines.append(f"{la}{lb},{_fmt(e_theory)},{_fmt(c)},{_fmt(sig)}")
-    lines.append(f"S,{_fmt(theory.s_value)},{_fmt(s)},{_fmt(sigma_s)}")
-    _emit_report(args, _record("chsh-eval", config, _quad_dict(quad), results), lines)
+    _emit_report(args.out, args.out_format,
+                 _record("chsh-eval", config, _quad_dict(quad), results), lines)
     return 0
 
 
@@ -336,22 +320,20 @@ def _cmd_chsh_optimize(args, config: RunConfig) -> int:
         zero = ModulationSetting(0.0, 0.0)
         initial = SettingQuad(zero, zero, zero, zero)
         quad, report = optimize_general(initial, args.amplitude_bound, args.restarts, config.seed)
-        ratios = [dr.d / report.drives[0].d if report.drives[0].d else float("nan")
-                  for dr in report.drives]
+        d00, d11 = report.drives[0].d, report.drives[3].d
+        ratio = d11 / d00 if d00 else float("nan")
         print(f"general optimum:   S = {report.s_value:.6f}  drives = "
-              f"({', '.join(f'{dr.d:.4f}' for dr in report.drives)})  D11/D00 = {ratios[3]:.4f}")
+              f"({', '.join(f'{dr.d:.4f}' for dr in report.drives)})  D11/D00 = {ratio:.4f}")
         results["general"] = {"quad": _quad_dict(quad), "s": report.s_value,
                               "drives": [dr.d for dr in report.drives]}
         lines.append(f"s_general,{_fmt(report.s_value)}")
         lines.extend(f"d_{label},{_fmt(dr.d)}"
                      for label, dr in zip(("00", "01", "10", "11"), report.drives))
-    _emit_report(args, _record("chsh-optimize", config,
-                               {"interval": list(args.interval),
-                                "tolerance": args.tolerance,
-                                "general": args.general,
-                                "restarts": args.restarts,
-                                "amplitude_bound": args.amplitude_bound},
-                               results), lines)
+    parameters = {"interval": list(args.interval), "tolerance": args.tolerance,
+                  "general": args.general, "restarts": args.restarts,
+                  "amplitude_bound": args.amplitude_bound}
+    _emit_report(args.out, args.out_format,
+                 _record("chsh-optimize", config, parameters, results), lines)
     return 0
 
 
@@ -367,21 +349,23 @@ def _cmd_chsh_finite(args, config: RunConfig) -> int:
     lines.append(f"S,{_fmt(report.s_value)},{_fmt(ideal.s_value)}")
     results = {"finite": {"correlators": list(report.correlators), "s": report.s_value},
                "ideal": {"correlators": list(ideal.correlators), "s": ideal.s_value}}
-    _emit_report(args, _record("chsh-finite", config, _quad_dict(quad), results), lines)
+    _emit_report(args.out, args.out_format,
+                 _record("chsh-finite", config, _quad_dict(quad), results), lines)
     return 0
 
 
 def _cmd_chsh_montecarlo(args, config: RunConfig) -> int:
     if args.ensembles < 2:
         raise _UsageError("--ensembles must be at least 2")
+    if args.ensembles > MAX_ENSEMBLES:
+        raise InvalidInputError(
+            f"--ensembles must be at most {MAX_ENSEMBLES}, got {args.ensembles}")
     quad = _quad_from_args(args)
-    model = config.measurement
-    probs = _closed_form_tables(quad, model.crosstalk)
+    tables = _closed_form_tables(quad.pairs(), config.measurement.crosstalk)
     s_values = []
     sigmas = []
     for ensemble in range(args.ensembles):
-        records = [simulate_counts(probs[i], model, config.seed + 4 * ensemble + i,
-                                   labels=PAIR_LABELS[i]) for i in range(4)]
+        records = _draw_records(tables, config.measurement, config.seed, ensemble)
         s, sigma, _ = chsh_estimate(records, subtract=True)
         s_values.append(s)
         sigmas.append(sigma)
@@ -394,7 +378,8 @@ def _cmd_chsh_montecarlo(args, config: RunConfig) -> int:
                "mean_sigma_s": mean_sigma}
     lines = ["quantity,value", f"ensembles,{args.ensembles}", f"s_mean,{_fmt(mean)}",
              f"s_std,{_fmt(std)}", f"mean_sigma_s,{_fmt(mean_sigma)}"]
-    _emit_report(args, _record("chsh-montecarlo", config, _quad_dict(quad), results), lines)
+    _emit_report(args.out, args.out_format,
+                 _record("chsh-montecarlo", config, _quad_dict(quad), results), lines)
     return 0
 
 
@@ -404,10 +389,10 @@ def _cmd_simulate(args, config: RunConfig) -> int:
     out_dir = Path(args.out or ".")
     quad = _quad_from_args(args)
     model = config.measurement
-    tables = _closed_form_tables(quad, model.crosstalk)
+    tables = _closed_form_tables(quad.pairs(), model.crosstalk)
     outputs = {}  # every check runs before the output directory is made
     for index, (probs, (la, lb)) in enumerate(zip(tables, PAIR_LABELS)):
-        histogram = synthesize_histogram(probs, model, config.seed + index)
+        histogram = synthesize_histogram(probs, model, _pair_seed(config.seed, 0, index))
         record = extract_counts(histogram, DEFAULT_PEAK_WINDOW, DEFAULT_BACKGROUND_WINDOW,
                                 duration_s=model.duration, labels=(la, lb))
         outputs[f"hist_{la}{lb}.csv"] = emit_histogram(histogram)
@@ -478,7 +463,7 @@ def _cmd_analyze(args, config: RunConfig) -> int:
                   "subtract": not args.no_subtract,
                   "normalization": list(normalization) if normalization else None,
                   "visibility": args.visibility}
-    _emit_report(args, _record("analyze", config, parameters, results), lines)
+    _emit_report(args.out, args.out_format, _record("analyze", config, parameters, results), lines)
     return 0
 
 

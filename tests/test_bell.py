@@ -136,6 +136,16 @@ class TestOptimizeGeneral:
         with pytest.raises(InvalidInputError):
             optimize_general(zero_quad(), 1.5, restarts, seed)
 
+    def test_restarts_past_the_bound_rejected_before_any_solve(self, monkeypatch):
+        from freqbin.bell import MAX_RESTARTS
+        import scipy.optimize
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a restart ran past the bound")
+        monkeypatch.setattr(scipy.optimize, "minimize", no_solve)
+        with pytest.raises(InvalidInputError, match=f"at most {MAX_RESTARTS}"):
+            optimize_general(zero_quad(), 1.5, MAX_RESTARTS + 1, 0)
+
     def test_numpy_integers_accepted(self):
         quad, _ = optimize_general(zero_quad(), 1.5, np.int64(1), np.int64(3))
         assert quad == optimize_general(zero_quad(), 1.5, 1, 3)[0]

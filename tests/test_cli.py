@@ -153,6 +153,37 @@ class TestPattern:
         assert ((tmp_path / "a.csv.run.json").read_bytes()
                 == (tmp_path / "b.csv.run.json").read_bytes())
 
+    def test_json_report_carries_the_curves(self, tmp_path, capsys):
+        csv_out = tmp_path / "both.csv"
+        json_out = tmp_path / "both.json"
+        assert run_cli("pattern", "--pattern-model", "both", "--steps", "9",
+                       "--out", str(csv_out)) == 0
+        assert run_cli("pattern", "--pattern-model", "both", "--steps", "9",
+                       "--format", "json", "--out", str(json_out)) == 0
+        capsys.readouterr()
+        results = json.loads(json_out.read_text())["results"]
+        csv_rows = [line.split(",") for line in csv_out.read_text().splitlines()[1:]]
+        assert len(results["alpha"]) == len(csv_rows) == 9
+        for alpha, ideal, finite, csv_row in zip(results["alpha"], results["ideal"],
+                                                 results["finite"], csv_rows):
+            assert [format(v, ".12g") for v in [alpha, *ideal, *finite]] == csv_row
+        run_record = json.loads((tmp_path / "both.csv.run.json").read_text())
+        assert run_record["results"] == {"max_curve_gap": results["max_curve_gap"]}
+        assert not (tmp_path / "both.json.run.json").exists()
+
+    @pytest.mark.parametrize("argv, written", [
+        ((), ["pattern.csv", "pattern.csv.run.json"]),
+        (("--format", "csv"), ["pattern.csv", "pattern.csv.run.json"]),
+        (("--format", "json"), ["pattern.json"]),
+    ])
+    def test_default_out_follows_the_format(self, argv, written, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("pattern", "--steps", "3", *argv) == 0
+        assert capsys.readouterr().out.startswith(f"pattern: wrote 3 sweep points to {written[0]}")
+        assert sorted(path.name for path in tmp_path.iterdir()) == written
+        head = "{" if written[0].endswith(".json") else "alpha,"
+        assert (tmp_path / written[0]).read_text().startswith(head)
+
     def test_invalid_range_is_usage_error(self, tmp_path, capsys):
         assert run_cli("pattern", "--steps", "1", "--out", str(tmp_path / "x.csv")) == 2
         assert run_cli("pattern", "--alpha-start", "2", "--alpha-stop", "1",
@@ -261,6 +292,9 @@ class TestPinnedCsvOutputs:
           "1e-3", "--epsilon", "1e-3", "--format", "csv")),
         ("pattern_both.csv", ("pattern", "--a", "0.6955", "--b", "0.6955", "--beta", "0",
                               "--steps", "25", "--pattern-model", "both")),
+        # these two pin the synthetic draws of the per-pair seed scheme
+        ("chsh_eval.csv", ("chsh", "eval", "--format", "csv")),
+        ("chsh_montecarlo_20.csv", ("chsh", "montecarlo", "--ensembles", "20", "--format", "csv")),
     ])
     def test_csv_bytes_match_pinned_file(self, tmp_path, capsys, name, argv):
         out = tmp_path / name
@@ -431,6 +465,28 @@ class TestExitCodes:
     def test_bin_range_wider_than_max_bins_is_data_error(self, capsys):
         assert run_cli("chsh", "finite", "--bins", "1..10000000000") == 3
         assert "at most 1000000 allowed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, bound", [
+        (("pattern", "--pattern-model", "both", "--steps"), "MAX_STEPS"),
+        (("chsh", "montecarlo", "--ensembles"), "MAX_ENSEMBLES"),
+        (("chsh", "optimize", "--general", "--restarts"), "MAX_RESTARTS"),
+    ])
+    def test_size_past_its_bound_is_data_error(self, argv, bound, monkeypatch, tmp_path, capsys):
+        # one past the bound exits 3 before any work: each work function raises if it is reached
+        import scipy.optimize
+        from freqbin import bell, cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started past the bound")
+        for module, name in ((cli, "parity_tables"), (cli, "ideal_probabilities"),
+                             (cli, "simulate_counts"), (scipy.optimize, "minimize")):
+            monkeypatch.setattr(module, name, no_work)
+        limit = {"MAX_STEPS": cli.MAX_STEPS, "MAX_ENSEMBLES": cli.MAX_ENSEMBLES,
+                 "MAX_RESTARTS": bell.MAX_RESTARTS}[bound]
+        out = tmp_path / "report"
+        assert run_cli(*argv, str(limit + 1), "--out", str(out)) == 3
+        assert f"at most {limit}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         ("chsh", "eval", "--pair-rate", "inf"), ("chsh", "eval", "--pair-rate", "nan"),
