@@ -114,6 +114,16 @@ def optimize_symmetric(search_interval: tuple[float, float] = (0.0, 0.5),
     return c_star, symmetric_chsh(c_star)
 
 
+def check_general_search(amplitude_bound: float, restarts: int) -> None:
+    """Raise InvalidInputError unless optimize_general accepts this bound and restart count."""
+    if not 1.0 <= amplitude_bound <= MAX_AMPLITUDE_BOUND:  # also rejects nan
+        raise InvalidInputError(f"amplitude_bound must lie in [1, {MAX_AMPLITUDE_BOUND}]")
+    if not _is_int(restarts) or restarts < 1:
+        raise InvalidInputError(f"restarts must be an integer >= 1, got {restarts!r}")
+    if restarts > MAX_RESTARTS:
+        raise InvalidInputError(f"restarts must be at most {MAX_RESTARTS}, got {restarts}")
+
+
 def optimize_general(initial: SettingQuad,
                      amplitude_bound: float = 1.5,
                      restarts: int = 20,
@@ -129,12 +139,7 @@ def optimize_general(initial: SettingQuad,
     """
     from scipy.optimize import Bounds, minimize
 
-    if not 1.0 <= amplitude_bound <= MAX_AMPLITUDE_BOUND:  # also rejects nan
-        raise InvalidInputError(f"amplitude_bound must lie in [1, {MAX_AMPLITUDE_BOUND}]")
-    if not _is_int(restarts) or restarts < 1:
-        raise InvalidInputError(f"restarts must be an integer >= 1, got {restarts!r}")
-    if restarts > MAX_RESTARTS:
-        raise InvalidInputError(f"restarts must be at most {MAX_RESTARTS}, got {restarts}")
+    check_general_search(amplitude_bound, restarts)
     if not _is_int(seed) or seed < 0:
         raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .bell import PAIR_LABELS
 from .closedform import ProbTable, effective_drive, ideal_probabilities
 from .errors import EstimatorError, HistogramFormatError, InvalidInputError
 from .params import MeasurementModel, ModulationSetting
@@ -46,6 +47,11 @@ MAX_POISSON_MEAN = 1e15
 # allocate memory in proportion to their distance, not to the file's size.
 MAX_SPAN_BINS = 1_000_000
 _MAX_COUNT = int(np.iinfo(np.int64).max)  # counts are stored as int64
+
+# Ensembles that simulate_chsh_ensembles draws per numpy call: ~0.8 kB of working
+# memory each. The chunks come in order from one generator, so the size never
+# changes the output.
+ENSEMBLE_CHUNK = 16_384
 
 
 @dataclass(frozen=True)
@@ -136,32 +142,57 @@ class Histogram:
                 (self.start_index + self.n_bins) * self.bin_width_s)
 
 
-def simulate_counts(probs: ProbTable, model: MeasurementModel, seed: int,
+def simulate_counts(probs: ProbTable, model: MeasurementModel, seed: int | np.random.Generator,
                     labels: tuple[str, str] = ("", "")) -> CountRecord:
     """Draw Poisson coincidence counts for one setting pair.
 
     Outcome xy has mean duration * (efficiency * pair_rate * P(x,y)
     + accidental_rate / 4); the accidental means are recorded as the
-    background. Deterministic for a given seed.
+    background. seed is an int, or a Generator that the draw continues;
+    an int seed gives the same record every time.
     """
-    accidental_mean = model.duration * model.accidental_rate / 4.0
-    signal_scale = model.duration * model.efficiency * model.pair_rate
-    means = [signal_scale * p + accidental_mean for p in probs.as_tuple()]
-    _check_poisson_means(means)
+    accidental_mean, means = _count_means(probs, model)
     rng = np.random.default_rng(seed)
     drawn = [int(rng.poisson(m)) for m in means]
     return CountRecord(*drawn, setting_labels=labels, duration=model.duration,
                        background_per_outcome=(accidental_mean,) * 4)
 
 
-def synthesize_histogram(probs: ProbTable, model: MeasurementModel, seed: int,
-                         *, span_bins: int = 200) -> Histogram:
+def simulate_chsh_ensembles(tables, model: MeasurementModel, seed: int | np.random.Generator,
+                            ensembles: int) -> tuple[np.ndarray, np.ndarray]:
+    """S and sigma_s of `ensembles` synthetic CHSH experiments, background subtracted.
+
+    tables are the four ProbTables ordered (A0B0, A0B1, A1B0, A1B1). One
+    generator draws every count, in chunks of ENSEMBLE_CHUNK ensembles, and
+    consumes its stream exactly as four simulate_counts calls per ensemble
+    would: ensemble 0 holds the records that those calls draw from the same
+    seed, and the chunk size never changes the output.
+    """
+    tables = list(tables)
+    if len(tables) != 4:
+        raise InvalidInputError("simulate_chsh_ensembles needs exactly 4 tables (00, 01, 10, 11)")
+    backgrounds, means = zip(*(_count_means(probs, model) for probs in tables))
+    background = np.array(backgrounds)[:, np.newaxis]  # one accidental mean per setting pair
+    rng = np.random.default_rng(seed)
+    s_values = np.empty(ensembles)
+    sigmas = np.empty(ensembles)
+    for start in range(0, ensembles, ENSEMBLE_CHUNK):
+        stop = min(start + ENSEMBLE_CHUNK, ensembles)
+        raw = rng.poisson(means, size=(stop - start, 4, 4))
+        s_values[start:stop], sigmas[start:stop], _ = _chsh(raw, background, True, None,
+                                                            PAIR_LABELS)
+    return s_values, sigmas
+
+
+def synthesize_histogram(probs: ProbTable, model: MeasurementModel,
+                         seed: int | np.random.Generator, *, span_bins: int = 200) -> Histogram:
     """Synthetic delay histogram: true coincidences in the peak window, flat accidentals.
 
     Bins are DEFAULT_BIN_WIDTH_S wide and the peak fills DEFAULT_PEAK_WINDOW;
     the per-outcome accidental mean inside that window equals
     duration * accidental_rate / 4, spread flat over the whole span.
-    Deterministic for a given seed.
+    seed is an int, or a Generator that the draw continues; an int seed
+    gives the same histogram every time.
     """
     if span_bins <= _PEAK_BINS:
         raise InvalidInputError("span must exceed the peak width")
@@ -180,6 +211,15 @@ def synthesize_histogram(probs: ProbTable, model: MeasurementModel, seed: int,
         arr[peak_lo:peak_lo + _PEAK_BINS] += spread
         counts[outcome] = arr
     return Histogram(bin_width_s=DEFAULT_BIN_WIDTH_S, start_index=start, counts=counts)
+
+
+def _count_means(probs: ProbTable, model: MeasurementModel) -> tuple[float, list[float]]:
+    """The accidental mean and the four outcome means of one setting pair's Poisson draw."""
+    accidental_mean = model.duration * model.accidental_rate / 4.0
+    signal_scale = model.duration * model.efficiency * model.pair_rate
+    means = [signal_scale * p + accidental_mean for p in probs.as_tuple()]
+    _check_poisson_means(means)
+    return accidental_mean, means
 
 
 def _check_poisson_means(means) -> None:
@@ -371,17 +411,16 @@ def chsh_estimate(records, subtract: bool = True,
                   ) -> tuple[float, float, tuple[float, float, float, float]]:
     """CHSH estimate from four CountRecords ordered (A0B0, A0B1, A1B0, A1B1).
 
-    S = C00 + C01 + C10 - C11 with each C from correlator_estimate, and
+    S = C00 + C01 + C10 - C11 with each C as in correlator_estimate, and
     sigma_s from the sum of their variances.
     """
     records = list(records)
     if len(records) != 4:
         raise InvalidInputError("chsh_estimate needs exactly 4 records (00, 01, 10, 11)")
-    estimates = [correlator_estimate(rec, subtract, normalization) for rec in records]
-    c_values = tuple(c for c, _ in estimates)
-    s = c_values[0] + c_values[1] + c_values[2] - c_values[3]
-    sigma_s = math.sqrt(sum(var for _, var in estimates))
-    return s, sigma_s, c_values
+    s, sigma_s, c_values = _chsh([rec.counts() for rec in records],
+                                 [rec.background_per_outcome for rec in records],
+                                 subtract, normalization, [rec.setting_labels for rec in records])
+    return float(s), float(sigma_s), tuple(c_values.tolist())
 
 
 def correlator_estimate(record: CountRecord, subtract: bool,
@@ -396,22 +435,44 @@ def correlator_estimate(record: CountRecord, subtract: bool,
     calibration); None means no rescaling. Factors lie in [1e-6, 1e6], which
     keeps the fourth power of N^+ in the variance far from overflow.
     """
+    c, var = _correlators([record.counts()], [record.background_per_outcome],
+                          subtract, normalization, [record.setting_labels])
+    return float(c[0]), float(var[0])
+
+
+def _chsh(raw, background, subtract, normalization, labels):
+    """S, sigma_s and the correlators over the last two axes (4 setting pairs, 4 outcomes)."""
+    c, var = _correlators(raw, background, subtract, normalization, labels)
+    s = c[..., 0] + c[..., 1] + c[..., 2] - c[..., 3]
+    return s, np.sqrt(var[..., 0] + var[..., 1] + var[..., 2] + var[..., 3]), c
+
+
+def _correlators(raw, background, subtract, normalization, labels):
+    """correlator_estimate over the last axis of count arrays.
+
+    raw holds counts in OUTCOMES order along its last axis, and its
+    second-to-last axis runs over the setting pairs that labels names;
+    background broadcasts against raw. N^+ <= 0 raises EstimatorError
+    naming the first such pair in C order.
+    """
     if normalization is None:
         normalization = (1.0, 1.0, 1.0, 1.0)
     if len(normalization) != 4 or not all(1e-6 <= f <= 1e6 for f in normalization):
         raise InvalidInputError("normalization needs 4 factors in [1e-6, 1e6]")
-    raw = record.counts()
-    values = record.net_counts() if subtract else tuple(float(c) for c in raw)
-    values = [v / f for v, f in zip(values, normalization)]
-    var = [r / f**2 for r, f in zip(raw, normalization)]
-    same = values[0] + values[3]
-    cross = values[1] + values[2]
-    var_same = var[0] + var[3]
-    var_cross = var[1] + var[2]
+    factors = np.array(normalization, dtype=np.float64)
+    raw = np.asarray(raw, dtype=np.float64)  # each count rounds as float(count) would
+    values = (raw - background if subtract else raw) / factors
+    var = raw / factors**2
+    same = values[..., 0] + values[..., 3]
+    cross = values[..., 1] + values[..., 2]
+    var_same = var[..., 0] + var[..., 3]
+    var_cross = var[..., 1] + var[..., 2]
     n_plus = same + cross
-    if n_plus <= 0.0:
+    bad = n_plus <= 0.0
+    if bad.any():
+        first = int(np.argmax(bad.ravel())) % len(labels)
         raise EstimatorError("non-positive net denominator N+ for "
-                             f"settings {record.setting_labels}")
+                             f"settings {labels[first]}")
     return (same - cross) / n_plus, 4.0 * (cross**2 * var_same + same**2 * var_cross) / n_plus**4
 
 

@@ -282,6 +282,44 @@ class TestChshCommands:
         assert 0.0 < results["s_std"] < 0.2
 
 
+class TestRandomStreams:
+    """Each run draws from one generator seeded by --seed; distinct seeds give distinct streams."""
+
+    def test_nearby_seeds_share_no_histogram(self, tmp_path, capsys):
+        # the per-pair scheme seeded pair i of --seed s with s + i, so these two were equal
+        for seed in ("0", "1"):
+            assert run_cli("simulate", "--out", str(tmp_path / seed), "--seed", seed) == 0
+        capsys.readouterr()
+        assert ((tmp_path / "1" / "hist_A0B0.csv").read_bytes()
+                != (tmp_path / "0" / "hist_A0B1.csv").read_bytes())
+
+    def test_montecarlo_does_not_depend_on_the_chunk_size(self, tmp_path, monkeypatch, capsys):
+        from freqbin import counts
+        argv = ("chsh", "montecarlo", "--ensembles", "20", "--seed", "3", "--format", "csv")
+        assert run_cli(*argv, "--out", str(tmp_path / "default.csv")) == 0
+        monkeypatch.setattr(counts, "ENSEMBLE_CHUNK", 3)
+        assert run_cli(*argv, "--out", str(tmp_path / "chunked.csv")) == 0
+        capsys.readouterr()
+        assert ((tmp_path / "chunked.csv").read_bytes()
+                == (tmp_path / "default.csv").read_bytes())
+
+    def test_eval_is_ensemble_zero_of_montecarlo(self, tmp_path, monkeypatch, capsys):
+        from freqbin import cli
+        draw = cli.simulate_chsh_ensembles
+        drawn = []
+
+        def recording_draw(*args):
+            drawn.append(draw(*args))
+            return drawn[-1]
+        monkeypatch.setattr(cli, "simulate_chsh_ensembles", recording_draw)
+        out = tmp_path / "eval.json"
+        assert run_cli("chsh", "eval", "--seed", "8", "--out", str(out)) == 0
+        assert run_cli("chsh", "montecarlo", "--ensembles", "2", "--seed", "8") == 0
+        capsys.readouterr()
+        s_values, _ = drawn[0]
+        assert s_values[0] == json.loads(out.read_text())["results"]["experiment"]["s"]
+
+
 class TestPinnedCsvOutputs:
     """The CSV bytes of these commands are pinned; their .run.json floats may move in the last bits."""
 
@@ -292,7 +330,7 @@ class TestPinnedCsvOutputs:
           "1e-3", "--epsilon", "1e-3", "--format", "csv")),
         ("pattern_both.csv", ("pattern", "--a", "0.6955", "--b", "0.6955", "--beta", "0",
                               "--steps", "25", "--pattern-model", "both")),
-        # these two pin the synthetic draws of the per-pair seed scheme
+        # these two pin the synthetic draws of the run's one generator
         ("chsh_eval.csv", ("chsh", "eval", "--format", "csv")),
         ("chsh_montecarlo_20.csv", ("chsh", "montecarlo", "--ensembles", "20", "--format", "csv")),
     ])
@@ -449,6 +487,33 @@ class TestExitCodes:
             assert run_cli("chsh", "optimize", "--general", "--amplitude-bound", bound) == 3
             assert "amplitude_bound" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("--restarts", "0"), "restarts must be an integer >= 1"),
+        (("--restarts", "-5"), "restarts must be an integer >= 1"),
+        (("--restarts", "10001"), "restarts must be at most 10000"),
+        (("--amplitude-bound", "0.5"), "amplitude_bound must lie in"),
+    ])
+    def test_optimize_checks_the_general_search_without_general(self, argv, message,
+                                                                monkeypatch, tmp_path, capsys):
+        # both values go into the run record, so they are checked before either search runs
+        from freqbin import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("search started with a bad argument")
+        monkeypatch.setattr(cli, "optimize_symmetric", no_work)
+        out = tmp_path / "opt.json"
+        assert run_cli("chsh", "optimize", *argv, "--out", str(out)) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_montecarlo_names_the_first_failing_pair(self, tmp_path, capsys):
+        out = tmp_path / "mc.json"
+        assert run_cli("chsh", "montecarlo", "--pair-rate", "0", "--accidental-rate", "0",
+                       "--out", str(out)) == 3
+        assert ("non-positive net denominator N+ for settings ('A0', 'B0')"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     def test_probability_sum_fault_is_data_error(self, monkeypatch, capsys):
         from freqbin import binspace
         build = binspace._kernel_matrix
@@ -479,7 +544,8 @@ class TestExitCodes:
         def no_work(*args, **kwargs):
             raise AssertionError("work started past the bound")
         for module, name in ((cli, "parity_tables"), (cli, "ideal_probabilities"),
-                             (cli, "simulate_counts"), (scipy.optimize, "minimize")):
+                             (cli, "simulate_counts"), (cli, "simulate_chsh_ensembles"),
+                             (scipy.optimize, "minimize")):
             monkeypatch.setattr(module, name, no_work)
         limit = {"MAX_STEPS": cli.MAX_STEPS, "MAX_ENSEMBLES": cli.MAX_ENSEMBLES,
                  "MAX_RESTARTS": bell.MAX_RESTARTS}[bound]
