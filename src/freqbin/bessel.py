@@ -1,7 +1,7 @@
 """Integer-order Bessel functions of the first kind with controlled error.
 
-bessel_j evaluates one order at a time, and _j0_j1 the pair J_0, J_1 that the
-CHSH gradient needs, in two regimes over the validated domain |x| <= 50:
+bessel_j evaluates one order at a time in two regimes over the validated
+domain |x| <= 50:
 
 * ascending power series when the argument is small (|x| <= 5) or the order
   dominates the argument (4*order >= x**2), where the alternating series
@@ -33,11 +33,6 @@ _SERIES_MAX_TERMS = 400
 _TAIL_MARGIN = 30     # orders examined beyond the cap when locating the tail cut
 _MILLER_X_MIN = 1e-20  # below: J_p = (x/2)**p / p! in double precision, and 2p/x could overflow
 
-# k (n + k) and k (n + 1 + k) at n = 0, for k = 1, 2, ...: the series denominators
-# of the pair J_0, J_1 that the CHSH gradient takes at every step. Floats hold
-# these integers exactly, so dividing by them rounds as dividing by the ints.
-_J0_J1_DENOMINATORS = tuple((float(k * k), float(k * (k + 1))) for k in range(1, _SERIES_MAX_TERMS))
-
 
 def bessel_j(order: int, x: float) -> float:
     """J_order(x) for integer order, |x| <= 50, absolute error <= 1e-12.
@@ -56,23 +51,8 @@ def bessel_j(order: int, x: float) -> float:
     if ax == 0.0:
         return 1.0 if n == 0 else 0.0
     if ax <= _SERIES_X_MAX or 4.0 * n >= ax * ax:
-        return sign * _series(n, ax)[0]
+        return sign * _series(n, ax)
     return sign * _miller(n, ax)[n]
-
-
-def _j0_j1(x: float) -> tuple[float, float]:
-    """(J_0(x), J_1(x)) for 0 <= x <= 50, bitwise equal to bessel_j(0, x) and bessel_j(1, x).
-
-    Up to x = 5 one series loop gives both orders. Above it both orders take
-    the Miller regime, and one pass for J_0 .. J_1 starts at the same order,
-    ceil(x) + 40, as the single-order passes, so it repeats their arithmetic.
-    """
-    if not 0.0 <= x <= X_MAX:  # also rejects nan
-        raise BesselDomainError(f"x = {x!r} outside validated domain 0 <= x <= {X_MAX}")
-    if x <= _SERIES_X_MAX:
-        return _series(0, x)
-    j0, j1 = _miller(1, x)
-    return j0, j1
 
 
 def _check_domain(x: float) -> None:
@@ -80,44 +60,26 @@ def _check_domain(x: float) -> None:
         raise BesselDomainError(f"|x| = {abs(x)!r} outside validated domain |x| <= {X_MAX}")
 
 
-def _series(n: int, x: float) -> tuple[float, float]:
-    """J_n(x) and J_{n+1}(x) by the ascending series, x >= 0.
-
-    J_m(x) = sum_k (-1)^k (x/2)^{m+2k} / (k! (m+k)!). One loop advances both
-    orders; each keeps its own start term and its own stop test, so each value
-    is bitwise what a loop over that order alone returns.
-    """
+def _series(n: int, x: float) -> float:
+    """J_n(x) = sum_k (-1)^k (x/2)^{n+2k} / (k! (n+k)!) for x >= 0."""
     half = 0.5 * x
-    minus_q = -(half * half)
-    term0, term1 = _series_start(n, half), _series_start(n + 1, half)
-    total0, total1 = term0, term1
-    denominators = (_J0_J1_DENOMINATORS if n == 0 else
-                    ((k * (n + k), k * (n + 1 + k)) for k in range(1, _SERIES_MAX_TERMS)))
-    for d0, d1 in denominators:
-        term0 *= minus_q / d0
-        total0 += term0
-        term1 *= minus_q / d1
-        total1 += term1
-        # Relative stops, so tiny values keep full precision. Before the terms
-        # peak, the k-th term is at least 1/(k + 1) of the total, so a stop comes
-        # after the peak and an order's later terms are smaller still: under
-        # 1e-18 of its total, below half an ulp, they leave that total bitwise
-        # unchanged while the other order runs on to its own stop.
-        if abs(term0) <= 1e-18 * abs(total0) and abs(term1) <= 1e-18 * abs(total1):
-            return total0, total1
-    raise RuntimeError(f"Bessel series did not converge for J_{n}({x}) or J_{n + 1}({x})")
-
-
-def _series_start(m: int, half: float) -> float:
-    """(x/2)**m / m!, the first series term of J_m(x)."""
-    if m <= 170:
-        return half**m / math.factorial(m)
-    if half == 0.0:  # a subnormal x whose half rounds to zero; log(0) would raise
+    if n <= 170:
+        term = half**n / math.factorial(n)
+    elif half == 0.0:  # a subnormal x whose half rounds to zero; log(0) would raise
         return 0.0
-    log_term = m * math.log(half) - math.lgamma(m + 1.0)
-    if log_term < -745.0:  # underflows double precision entirely
-        return 0.0
-    return math.exp(log_term)
+    else:
+        log_term = n * math.log(half) - math.lgamma(n + 1.0)
+        if log_term < -745.0:  # underflows double precision entirely
+            return 0.0
+        term = math.exp(log_term)
+    total = term
+    q = half * half
+    for k in range(1, _SERIES_MAX_TERMS):
+        term *= -q / (k * (n + k))
+        total += term
+        if abs(term) <= 1e-18 * abs(total):  # relative, so tiny values keep full precision
+            return total
+    raise RuntimeError(f"Bessel series did not converge for J_{n}({x})")
 
 
 def _miller(n_max: int, x: float, pad: int = _MILLER_PAD) -> list[float]:

@@ -316,6 +316,9 @@ def _cmd_chsh_optimize(args, config: RunConfig) -> int:
         ratio = d11 / d00 if d00 else float("nan")
         print(f"general optimum:   S = {report.s_value:.6f}  drives = "
               f"({', '.join(f'{dr.d:.4f}' for dr in report.drives)})  D11/D00 = {ratio:.4f}")
+        if report.s_value < s_star - 1e-9:  # e.g. --restarts 1: the zero start is stationary
+            print(f"warning: the general search stopped at S = {report.s_value:.6f}, below the "
+                  f"symmetric S = {s_star:.6f}; more --restarts may reach it", file=sys.stderr)
         results["general"] = {"quad": _quad_dict(quad), "s": report.s_value,
                               "drives": [dr.d for dr in report.drives]}
         lines.append(f"s_general,{_fmt(report.s_value)}")

@@ -8,8 +8,8 @@ import pytest
 from freqbin import (DispersionProfile, InvalidInputError, MeasurementModel, ModulationSetting,
                      OptimizationError, SettingQuad, WindowBoundError, chsh_finite, chsh_ideal,
                      optimize_general, optimize_symmetric, chsh_optimal_quad, symmetric_chsh,
-                     symmetric_quad, bessel_j)
-from freqbin.bell import _CHSH_SIGNS, _PAIR_INDICES, _neg_chsh_and_gradient
+                     symmetric_quad)
+from freqbin.bell import _neg_chsh_and_gradient
 
 S_MAX_THEORY = 2.5664949013225584  # 3 J_0(4c*) - J_0(12c*) at the optimal amplitude
 S_STAR = 2.566494962149  # the same maximum at c* = 0.231844 to 1e-12
@@ -161,25 +161,6 @@ def central_gradient(x, step=1e-6):
                       for e in np.eye(8)])
 
 
-def oracle_neg_chsh_and_gradient(x):
-    """The objective with one bessel_j call per order, kept verbatim as a bitwise oracle."""
-    v = x.tolist()
-    s = 0.0
-    grad = [0.0] * 8
-    for sign, (i, j) in zip(_CHSH_SIGNS, _PAIR_INDICES):
-        a, b, diff = v[i], v[j], v[i + 4] - v[j + 4]
-        cos_diff = math.cos(diff)
-        d = math.sqrt(max(a * a + b * b + 2.0 * a * b * cos_diff, 0.0))
-        s += sign * bessel_j(0, 2.0 * d)
-        slope = sign * (-bessel_j(1, 2.0 * d) / d if d else -1.0)  # sign * dE/d(D^2)
-        grad[i] += 2.0 * slope * (a + b * cos_diff)
-        grad[j] += 2.0 * slope * (b + a * cos_diff)
-        phase_term = 2.0 * slope * a * b * math.sin(diff)
-        grad[i + 4] -= phase_term
-        grad[j + 4] += phase_term
-    return -s, -np.array(grad)
-
-
 class TestGradientSearch:
     """The analytic -S and -dS/dx that optimize_general's L-BFGS-B runs on."""
 
@@ -199,24 +180,6 @@ class TestGradientSearch:
             _, grad = _neg_chsh_and_gradient(x)
             assert np.max(np.abs(grad - central_gradient(x))) < 1e-7
 
-    def test_bitwise_equal_to_the_per_order_objective(self):
-        # the search ranks restarts that tie at S* to ~1e-15, so any change in
-        # the last bits of -S or its gradient can change the reported quad
-        rng = np.random.default_rng(20)
-        points = self.random_points(300, 21)
-        for bound in (1.5, 12.5):  # 12.5 drives 2D up to 50, deep in the Miller regime
-            points += [np.concatenate([rng.uniform(0.0, bound, 4), rng.uniform(0.0, 2 * math.pi, 4)])
-                       for _ in range(100)]
-            points += [np.concatenate([np.full(4, bound), rng.uniform(0.0, 2 * math.pi, 4)])
-                       for _ in range(20)]
-        points.append(np.zeros(8))  # D = 0 for every pair
-        points.append(np.array([0.4, 0.4, 0.4, 0.4, 0.0, math.pi, math.pi, 0.0]))  # D00 = D11 = 0
-        for x in points:
-            value, grad = _neg_chsh_and_gradient(x)
-            want_value, want_grad = oracle_neg_chsh_and_gradient(x)
-            assert np.float64(value).tobytes() == np.float64(want_value).tobytes(), x
-            assert grad.tobytes() == want_grad.tobytes(), x
-
     def test_objective_is_minus_chsh_ideal(self):
         for x in self.random_points(500, 19):
             value, _ = _neg_chsh_and_gradient(x)
@@ -228,12 +191,33 @@ class TestGradientSearch:
         assert first == second
 
     def test_every_seed_reaches_the_optimum(self):
-        for seed in range(20):
-            quad, report = optimize_general(zero_quad(), 1.5, restarts=20, seed=seed)
-            assert abs(report.s_value - S_STAR) <= 1e-9
-            ds = [drive.d for drive in report.drives]
-            assert abs(ds[3] / ds[0] - 3.0) <= 1e-2
-            assert quad.a0.phase == 0.0
+        # starts drawn on [0, bound] missed S* on 2 and 40 of 40 seeds at bounds 3 and 12.5
+        for bound in (1.5, 3.0, 12.5):
+            for seed in range(20):
+                quad, report = optimize_general(zero_quad(), bound, restarts=20, seed=seed)
+                assert abs(report.s_value - S_STAR) <= 1e-9, (bound, seed)
+                ds = [drive.d for drive in report.drives]
+                assert abs(ds[3] / ds[0] - 3.0) <= 1e-2
+                assert quad.a0.phase == 0.0
+
+    def test_reports_the_first_restart_tied_with_the_best(self, monkeypatch):
+        # restarts that reach S* tie to ~1e-15, so ranking them by -S alone
+        # would let the objective's last bits choose the reported quad
+        import scipy.optimize
+        solve = scipy.optimize.minimize
+        solves = []
+
+        def recording_solve(*args, **kwargs):
+            solves.append(solve(*args, **kwargs))
+            return solves[-1]
+        monkeypatch.setattr(scipy.optimize, "minimize", recording_solve)
+        for seed in range(5):
+            solves.clear()
+            quad, _ = optimize_general(zero_quad(), 1.5, restarts=20, seed=seed)
+            assert len(solves) == 20
+            lowest = min(res.fun for res in solves)
+            first = next(res for res in solves if res.fun <= lowest + 1e-12)
+            assert quad == quad_from_vector(np.concatenate([first.x[:4], first.x[4:] - first.x[4]]))
 
     def test_amplitude_bound_outside_bessel_domain_rejected(self):
         for bound in (math.nan, math.inf, 20.0, 12.6):

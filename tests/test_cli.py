@@ -235,6 +235,14 @@ class TestChshCommands:
         general = json.loads(texts[0])["results"]["general"]
         assert abs(general["s"] - 2.566494962149) <= 1e-9
 
+    def test_optimize_general_warns_below_the_symmetric_optimum(self, tmp_path, capsys):
+        # one restart is the zero start, a stationary point at S = 2
+        out = tmp_path / "opt.json"
+        assert run_cli("chsh", "optimize", "--general", "--restarts", "1", "--out", str(out)) == 0
+        assert "warning: the general search stopped at S = 2.000000" in capsys.readouterr().err
+        assert run_cli("chsh", "optimize", "--general", "--out", str(out)) == 0
+        assert capsys.readouterr().err == ""
+
     def test_finite_matches_golden(self, tmp_path, capsys, golden):
         out = tmp_path / "finite.json"
         assert run_cli("chsh", "finite", "--out", str(out)) == 0
@@ -584,6 +592,14 @@ class TestExitCodes:
         assert run_cli(*argv, "--out", str(out)) == 3
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_import_loads_no_scipy_solver(self):
+        # scipy.special alone takes ~0.25 s to import, so only a search loads it
+        code = ("import sys, freqbin.cli; "
+                "print([m for m in ('scipy.special', 'scipy.optimize') if m in sys.modules])")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
 
     def test_console_entry_point(self):
         result = subprocess.run([sys.executable, "-m", "freqbin.cli", "--version"],
