@@ -18,9 +18,10 @@ One call batches every pair: the S distinct settings' kernels form one
 zero-padded S x (2 P_max + 1) weight matrix, all their Gram sums come from
 one product of it, C_pi from two correlations of the envelope, and all the
 tables from one contraction. That costs O(K P + S P^2) time and
-O(K + S P^2) memory per call, instead of O(K^2 P) per setting pair. The
-dense TwoPhotonState path stays as the test oracle for it, and as the only
-path that clips to a max_window and accounts the leaked norm.
+O(K + S P^2) memory per call, instead of O(K^2 P) per setting pair, so it
+bounds only the window width, at MAX_BINS. The dense TwoPhotonState path,
+held to |bin| <= DEFAULT_BIN_BOUND, stays as the test oracle for it, and as
+the only path that clips to a max_window and accounts the leaked norm.
 """
 
 from __future__ import annotations
@@ -33,9 +34,11 @@ import numpy as np
 from .bessel import _sideband_amplitudes
 from .closedform import ProbTable, apply_crosstalk
 from .errors import InvalidInputError, ProbabilitySumError, WindowBoundError
-from .params import BinWindow, DispersionProfile, MeasurementModel, ModulationSetting, TruncationPolicy
+from .params import (MAX_BINS, BinWindow, DispersionProfile, MeasurementModel, ModulationSetting,
+                     TruncationPolicy)
 
-DEFAULT_BIN_BOUND = 512
+DEFAULT_BIN_BOUND = 512  # |bin| bound of the dense K x K path
+_GRAM_BLOCK = 2**20  # cap on the complex values in one block of _parity_grams' skew buffer
 _ARMS = ("A", "B")
 
 
@@ -247,43 +250,34 @@ def parity_tables(bins_a,
     The state is correlated_state(bins_a), with the dispersion phases, when
     given, on both arms. Each table equals the dense pipeline's
     (apply_modulator on A, then on B, then parity_probabilities with the
-    model) to rounding, and the same inputs raise the same errors; the
-    banded form in the module docstring computes all of them in one batched
-    pass. Each distinct setting's sideband amplitudes are computed once per call.
+    model) to rounding, and the same inputs raise the same errors save the
+    dense |bin| bound: a window over MAX_BINS bins raises before it is
+    allocated. The banded form in the module docstring computes all tables in
+    one batched pass, with each distinct setting's sideband amplitudes once.
     """
     if policy is None:
         policy = TruncationPolicy()
     bins, window_a = _alice_bins(bins_a)
+    if window_a.width > MAX_BINS:
+        raise WindowBoundError(f"window [{window_a.min_bin}, {window_a.max_bin}] exceeds {MAX_BINS} bins")
     window_b = window_a.negated()
     dispersed = dispersion is not None and not dispersion.is_zero()
     if dispersed:
         _check_overrides(dispersion, window_a, "A")
         _check_overrides(dispersion, window_b, "B")
 
-    # One scalar amplitude pass per distinct setting, in pair order, so that
-    # cap and window-bound errors come out in the dense pipeline's order.
+    # one scalar amplitude pass per distinct setting, in first-occurrence order,
+    # so that a cap error names the setting the dense pipeline fails on
     rows = {}
-    amplitudes = []
-
-    def row(setting, window):
-        index = rows.get(setting)
-        if index is None:
-            index = rows[setting] = len(amplitudes)
-            amplitudes.append(_sideband_amplitudes(setting.amplitude, policy))
-        p_max = len(amplitudes[index]) - 1
-        _check_bin_bound(BinWindow(window.min_bin - p_max, window.max_bin + p_max),
-                         DEFAULT_BIN_BOUND)
-        return index
-
-    pair_rows = [(row(setting_a, window_a), row(setting_b, window_b))
+    pair_rows = [(rows.setdefault(setting_a, len(rows)), rows.setdefault(setting_b, len(rows)))
                  for setting_a, setting_b in pairs]
     if not pair_rows:
         return []
-
-    weights = _kernel_matrix(list(rows), amplitudes)
-    p_max = weights.shape[1] // 2
-    reach = min(2 * p_max, window_a.width - 1)
-    grams = _parity_grams(weights)[:, :, 2 * p_max - reach:2 * p_max + reach + 1]
+    settings = list(rows)
+    weights = _kernel_matrix(settings, [_sideband_amplitudes(setting.amplitude, policy)
+                                        for setting in settings])
+    reach = min(weights.shape[1], window_a.width) - 1  # largest |d|: 2 P_max, and below K
+    grams = _parity_grams(weights, reach)
     l1 = np.abs(weights).sum(axis=1).tolist()
 
     # the envelope f(n) without its 1/sqrt(K) norm, which C_pi takes as a
@@ -319,19 +313,25 @@ def parity_tables(bins_a,
     return tables
 
 
-def _parity_grams(weights: np.ndarray) -> np.ndarray:
-    """Gram sums g_pi(d) = sum_{p = pi mod 2} u(p) u*(p - d) of each row u, as [row, pi, d + 2P].
+def _parity_grams(weights: np.ndarray, reach: int) -> np.ndarray:
+    """Gram sums g_pi(d) = sum_{p = pi mod 2} u(p) u*(p - d) of each row u, as [row, pi, d + reach].
 
     The outer products u(p) u*(q), with q reversed and each row p skewed right
     by its index, line up p - q = d in column d + 2P; the parity masks then sum
-    each column over p.
+    each column over p, and the columns |d| <= reach are kept.
     """
     count, width = weights.shape
+    step = max(1, _GRAM_BLOCK // (2 * width * width))
+    if count > step:
+        grams = np.empty((count, 2, 2 * reach + 1), dtype=complex)
+        for start in range(0, count, step):
+            grams[start:start + step] = _parity_grams(weights[start:start + step], reach)
+        return grams
     skew = np.zeros((count, width, 2 * width), dtype=complex)
     np.multiply(weights[:, :, None], np.conj(weights[:, None, ::-1]), out=skew[:, :, :width])
     skew = skew.reshape(count, -1)[:, :width * (2 * width - 1)].reshape(count, width, -1)
     offsets = np.arange(width) - width // 2
-    return (offsets % 2 == np.array([[0], [1]])) @ skew
+    return ((offsets % 2 == np.array([[0], [1]])) @ skew)[:, :, width - 1 - reach:width + reach]
 
 
 def _envelope_correlation(envelope: np.ndarray, min_bin: int, reach: int) -> np.ndarray:

@@ -183,7 +183,10 @@ def _json_text(payload: dict) -> str:
 
 
 def _write(path, text: str) -> None:
-    Path(path).write_text(text, encoding="utf-8")
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:  # missing directory, a directory in the way, no permission
+        raise InvalidInputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _record(command: str, config: RunConfig, parameters: dict, results: dict) -> dict:
@@ -388,7 +391,10 @@ def _cmd_simulate(args, config: RunConfig) -> int:
                                 duration_s=model.duration, labels=(la, lb))
         outputs[f"hist_{la}{lb}.csv"] = emit_histogram(histogram)
         outputs[f"record_{la}{lb}.json"] = _json_text(record.to_json_dict())
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. --out names an existing file
+        raise InvalidInputError(f"cannot make directory {out_dir}: {exc.strerror or exc}") from None
     for name, text in outputs.items():
         _write(out_dir / name, text)
     written = list(outputs)

@@ -12,9 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
-from .params import DispersionProfile, MeasurementModel, TruncationPolicy
-
-MAX_BINS = 1_000_000  # widest bin range parse_bins builds
+from .params import MAX_BINS, DispersionProfile, MeasurementModel, TruncationPolicy
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from .errors import InvalidInputError
 
 TWO_PI = 2.0 * math.pi
 MAX_ORDER_CAP = 1000  # largest max_order: a cap error may take a Miller pass over cap + 70 orders
+MAX_BINS = 1_000_000  # widest bin window: parse_bins' ranges and the banded parity engine
 
 
 def canonical_phase(phase: float) -> float:

@@ -263,10 +263,9 @@ class TestChshFinite:
         for override in (9, 3):  # outside the A window [1, 6], then the B window [-6, -1]
             with pytest.raises(InvalidInputError):
                 chsh_finite(quad, range(1, 7), dispersion=DispersionProfile(0.0, {override: 0.1}))
-        # c = 1.5 keeps order 13, so bins -500..500 would reach |bin| = 513 > 512
-        wide = SettingQuad(quad.a0, ModulationSetting(1.5, 0.0), quad.b0, quad.b1)
+        # the banded engine bounds the window width at MAX_BINS = 10**6 bins
         with pytest.raises(WindowBoundError):
-            chsh_finite(wide, range(-500, 501))
+            chsh_finite(quad, [-600_000, 600_000])
 
     def test_gauge_invariance(self):
         base = chsh_finite(chsh_optimal_quad(), range(1, 7))

@@ -12,9 +12,11 @@ from hypothesis import strategies as st
 from freqbin import (BinWindow, DispersionProfile, InvalidInputError, MeasurementModel,
                      ModulationSetting, ProbabilitySumError, TruncationPolicy, TwoPhotonState,
                      WindowBoundError, apply_dispersion, apply_modulator, bessel_j,
-                     chsh_optimal_quad, correlated_state, effective_drive, ideal_probabilities,
-                     modulation_kernel, parity_probabilities, parity_tables)
+                     chsh_finite, chsh_ideal, chsh_optimal_quad, correlated_state, effective_drive,
+                     ideal_probabilities, modulation_kernel, parity_probabilities, parity_tables)
 from freqbin import binspace
+from freqbin.bessel import _sideband_amplitudes
+from freqbin.params import MAX_BINS
 
 POLICY = TruncationPolicy()
 
@@ -298,7 +300,8 @@ class TestConvergenceToClosedForm:
         assert self.quad_deviation(801) <= 1e-3
 
 
-def dense_tables(bins, pairs, model=None, dispersion=None, policy=POLICY):
+def dense_tables(bins, pairs, model=None, dispersion=None, policy=POLICY,
+                 bin_bound=binspace.DEFAULT_BIN_BOUND):
     """The dense oracle: correlated state, dispersion, modulate A then B, parity sums."""
     base = correlated_state(bins)
     if dispersion is not None and not dispersion.is_zero():
@@ -306,8 +309,8 @@ def dense_tables(bins, pairs, model=None, dispersion=None, policy=POLICY):
         base = apply_dispersion(base, dispersion, "B")
     tables = []
     for setting_a, setting_b in pairs:
-        state = apply_modulator(base, "A", setting_a, policy)
-        state = apply_modulator(state, "B", setting_b, policy)
+        state = apply_modulator(base, "A", setting_a, policy, bin_bound=bin_bound)
+        state = apply_modulator(state, "B", setting_b, policy, bin_bound=bin_bound)
         tables.append(parity_probabilities(state, model))
     return tables
 
@@ -367,10 +370,9 @@ class TestParityTables:
             with pytest.raises(InvalidInputError):
                 parity_tables(range(1, 7), pair, dispersion=DispersionProfile(0.0, {override: 0.1}))
         parity_tables(range(-3, 4), pair, dispersion=DispersionProfile(0.0, {-3: 0.1, 3: 0.1}))
+        # the engine bounds the window width at MAX_BINS, not |bin| at the dense path's 512
         with pytest.raises(WindowBoundError):
-            parity_tables(range(-500, 501), [(ModulationSetting(1.5, 0.0), ModulationSetting(0.0))])
-        with pytest.raises(WindowBoundError):
-            parity_tables(range(-500, 501), [(ModulationSetting(0.0), ModulationSetting(1.5, 0.0))])
+            parity_tables([-500_000, 500_000], pair)
 
     @pytest.mark.parametrize("epsilon", [1e-12, 1e-3, 0.5])
     def test_probability_sum_check_passes_truncated_kernels(self, epsilon):
@@ -413,6 +415,72 @@ class TestParityTables:
             with pytest.raises(WindowBoundError):
                 correlated_state(bins)
         assert correlated_state([-512, 512]).amplitudes.shape == (1025, 1025)
+
+    def test_matches_dense_oracle_past_the_dense_bin_bound(self):
+        # c = 1.5 keeps order 13, so the dense path needs |bin| = 513 on bins -500..500
+        bins = range(-500, 501)
+        pairs = [(ModulationSetting(1.5, 0.0), ModulationSetting(1.5, 2.0)),
+                 (ModulationSetting(0.6955, 1.0), ModulationSetting(1.5, math.pi))]
+        with pytest.raises(WindowBoundError):
+            dense_tables(bins, pairs[:1])
+        dispersion = DispersionProfile(1e-4)
+        banded = parity_tables(bins, pairs, dispersion=dispersion)
+        dense = dense_tables(bins, pairs, dispersion=dispersion, bin_bound=2048)
+        for got, want in zip(banded, dense):
+            for g, w in zip(got.as_tuple(), want.as_tuple()):
+                assert abs(g - w) <= 1e-12
+
+    def test_finite_gap_law_holds_at_100001_bins(self):
+        # (S_ideal - S) K is a constant of the optimal quad, ~0.8628, from K = 801 up;
+        # chsh_finite raises ProbabilitySumError if a table fails the sum check
+        quad = chsh_optimal_quad()
+        s_ideal = chsh_ideal(quad).s_value
+        gaps = [(s_ideal - chsh_finite(quad, range(-half, half + 1)).s_value) * (2 * half + 1)
+                for half in (400, 50_000)]
+        assert abs(gaps[0] - 0.8628225114) < 1e-9
+        assert abs(gaps[1] - gaps[0]) < 1e-8
+
+    def test_too_wide_window_raises_before_it_allocates(self):
+        pairs = chsh_optimal_quad().pairs()
+        tracemalloc.start()
+        try:
+            with pytest.raises(WindowBoundError, match="exceeds 1000000 bins"):
+                parity_tables([-2**40, 2**40], pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+        with pytest.raises(WindowBoundError):
+            parity_tables([0, MAX_BINS], pairs)
+        assert len(parity_tables([0, MAX_BINS - 1], pairs)) == 4
+
+    def test_blocked_grams_equal_one_batch_bitwise(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        settings = [ModulationSetting(float(rng.uniform(0, 8)), float(rng.uniform(0, 2 * math.pi)))
+                    for _ in range(20)]
+        weights = binspace._kernel_matrix(
+            settings, [_sideband_amplitudes(s.amplitude, POLICY) for s in settings])
+        width = weights.shape[1]
+        for reach in (0, 5, width - 1):
+            whole = binspace._parity_grams(weights, reach)
+            assert whole.shape == (20, 2, 2 * reach + 1)
+            for rows in (1, 3, 7):
+                monkeypatch.setattr(binspace, "_GRAM_BLOCK", rows * 2 * width * width)
+                assert np.array_equal(binspace._parity_grams(weights, reach), whole)
+            monkeypatch.undo()
+
+    def test_peak_memory_of_many_wide_kernels_is_one_gram_block(self):
+        # c = 30 keeps order 58: one 301 x 117 x 234 skew buffer would take ~132 MB
+        fixed = ModulationSetting(30.0, 0.0)
+        pairs = [(ModulationSetting(30.0, 2 * math.pi * k / 300), fixed) for k in range(300)]
+        parity_tables(range(1, 7), pairs[:2])
+        tracemalloc.start()
+        try:
+            parity_tables(range(1, 7), pairs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * binspace._GRAM_BLOCK * np.dtype(complex).itemsize
 
     def test_no_pairs_no_tables(self):
         assert parity_tables(range(1, 7), []) == []

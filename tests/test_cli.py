@@ -480,8 +480,23 @@ class TestExitCodes:
         assert "absent.json" in capsys.readouterr().err
 
     def test_window_past_bin_bound_is_data_error(self, capsys):
-        assert run_cli("chsh", "finite", "--bins=-500..500", "--a1", "1.5") == 3
-        assert "exceeds |bin| <= 512" in capsys.readouterr().err
+        assert run_cli("chsh", "finite", "--bins=-600000,600000") == 3
+        assert "exceeds 1000000 bins" in capsys.readouterr().err
+        # the dense path's |bin| <= 512 does not bind the finite CHSH engine
+        assert run_cli("chsh", "finite", "--bins=-500..500", "--a1", "1.5") == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, target", [
+        (("chsh", "finite"), "absent/x.json"),
+        (("simulate",), "file.txt"),
+        (("pattern",), "."),
+    ])
+    def test_unwritable_out_is_data_error(self, tmp_path, capsys, argv, target):
+        (tmp_path / "file.txt").write_text("in the way\n")
+        out = tmp_path / target
+        assert run_cli(*argv, "--out", str(out)) == 3
+        assert f"{out}:" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file.txt"]
 
     def test_negative_seed_is_data_error(self, tmp_path, capsys):
         for argv in (("chsh", "eval"), ("simulate", "--out", str(tmp_path)),
