@@ -18,10 +18,9 @@ One call batches every pair: the S distinct settings' kernels form one
 zero-padded S x (2 P_max + 1) weight matrix, all their Gram sums come from
 one product of it, C_pi from two correlations of the envelope, and all the
 tables from one contraction. That costs O(K P + S P^2) time and
-O(K + S P^2) memory per call, instead of O(K^2 P) per setting pair, so it
-bounds only the window width, at MAX_BINS. The dense TwoPhotonState path,
-held to |bin| <= DEFAULT_BIN_BOUND, stays as the test oracle for it, and as
-the only path that clips to a max_window and accounts the leaked norm.
+O(K + S P^2) memory per call, instead of O(K^2 P) per setting pair. The
+dense TwoPhotonState path, held to |bin| <= DEFAULT_BIN_BOUND, is its test
+oracle and the only path that clips to a max_window and accounts leaked norm.
 """
 
 from __future__ import annotations
@@ -250,10 +249,10 @@ def parity_tables(bins_a,
     The state is correlated_state(bins_a), with the dispersion phases, when
     given, on both arms. Each table equals the dense pipeline's
     (apply_modulator on A, then on B, then parity_probabilities with the
-    model) to rounding, and the same inputs raise the same errors save the
-    dense |bin| bound: a window over MAX_BINS bins raises before it is
-    allocated. The banded form in the module docstring computes all tables in
-    one batched pass, with each distinct setting's sideband amplitudes once.
+    model) to rounding, and the same inputs raise the same errors, save that
+    only the window width is bounded: past MAX_BINS bins it raises once bins_a
+    is read, before the envelope and Gram buffers. The banded form in the
+    module docstring computes all tables in one pass.
     """
     if policy is None:
         policy = TruncationPolicy()
@@ -273,9 +272,7 @@ def parity_tables(bins_a,
                  for setting_a, setting_b in pairs]
     if not pair_rows:
         return []
-    settings = list(rows)
-    weights = _kernel_matrix(settings, [_sideband_amplitudes(setting.amplitude, policy)
-                                        for setting in settings])
+    weights = _kernel_matrix(list(rows), [_sideband_amplitudes(s.amplitude, policy) for s in rows])
     reach = min(weights.shape[1], window_a.width) - 1  # largest |d|: 2 P_max, and below K
     grams = _parity_grams(weights, reach)
     l1 = np.abs(weights).sum(axis=1).tolist()
@@ -318,20 +315,20 @@ def _parity_grams(weights: np.ndarray, reach: int) -> np.ndarray:
 
     The outer products u(p) u*(q), with q reversed and each row p skewed right
     by its index, line up p - q = d in column d + 2P; the parity masks then sum
-    each column over p, and the columns |d| <= reach are kept.
+    each column over p. Rows go in blocks of at most _GRAM_BLOCK skew values.
     """
     count, width = weights.shape
-    step = max(1, _GRAM_BLOCK // (2 * width * width))
-    if count > step:
-        grams = np.empty((count, 2, 2 * reach + 1), dtype=complex)
-        for start in range(0, count, step):
-            grams[start:start + step] = _parity_grams(weights[start:start + step], reach)
-        return grams
-    skew = np.zeros((count, width, 2 * width), dtype=complex)
-    np.multiply(weights[:, :, None], np.conj(weights[:, None, ::-1]), out=skew[:, :, :width])
-    skew = skew.reshape(count, -1)[:, :width * (2 * width - 1)].reshape(count, width, -1)
-    offsets = np.arange(width) - width // 2
-    return ((offsets % 2 == np.array([[0], [1]])) @ skew)[:, :, width - 1 - reach:width + reach]
+    masks = (np.arange(width) - width // 2) % 2 == np.array([[0], [1]])
+    step = min(count, max(1, _GRAM_BLOCK // (2 * width * width)))
+    skew = np.zeros((step, width, 2 * width), dtype=complex)  # columns past width stay zero
+    grams = np.empty((count, 2, 2 * reach + 1), dtype=complex)
+    for start in range(0, count, step):
+        block = weights[start:start + step]
+        rows = len(block)
+        np.multiply(block[:, :, None], np.conj(block[:, None, ::-1]), out=skew[:rows, :, :width])
+        shifted = skew[:rows].reshape(rows, -1)[:, :width * (2 * width - 1)].reshape(rows, width, -1)
+        grams[start:start + step] = (masks @ shifted)[:, :, width - 1 - reach:width + reach]
+    return grams
 
 
 def _envelope_correlation(envelope: np.ndarray, min_bin: int, reach: int) -> np.ndarray:
