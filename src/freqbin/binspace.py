@@ -14,13 +14,20 @@ them without the K x K table. Both modulators are convolutions, so
 
 with the envelope correlation C_pi(d) = sum_{n = pi mod 2} f(n) f*(n + d)
 and the parity-split kernel Gram sums g_pi(d) = sum_{p = pi mod 2} u(p) u*(p - d).
-One call batches every pair: the S distinct settings' kernels form one
-zero-padded S x (2 P_max + 1) weight matrix, all their Gram sums come from
-one product of it, C_pi from two correlations of the envelope, and all the
-tables from one contraction. That costs O(K P + S P^2) time and
-O(K + S P^2) memory per call, instead of O(K^2 P) per setting pair. The
-dense TwoPhotonState path, held to |bin| <= DEFAULT_BIN_BOUND, is its test
-oracle and the only path that clips to a max_window and accounts leaked norm.
+The kernel u(p) = J_p(c) e^{i p (gamma - pi/2)} factors its phase out of them:
+g_pi(d) = e^{i d (gamma - pi/2)} R_pi(d), with the real R_pi(d) =
+sum_{p = pi mod 2} J_p J_{p - d} set by the drive c alone. So a setting pair
+sees its phases only through w(d) = e^{i d (gamma_A - gamma_B)}, and
+
+    P(x, y) = sum_pi sum_d Re(C_pi(d) w(d)) R^A_{(x - pi) mod 2}(d) R^B_{(y + pi) mod 2}(-d).
+
+One call batches every pair: one Bessel row and one row of R_pi per distinct
+drive, C_pi from two correlations of the envelope (real unless dispersed),
+and all the tables from one contraction. For S pairs over A distinct drives
+that costs O(K P + A P^2 + S P) time and O(K + (A + S) P) memory per call,
+instead of O(K^2 P) per setting pair. The dense TwoPhotonState path, held to
+|bin| <= DEFAULT_BIN_BOUND, is its test oracle and the only path that clips
+to a max_window and accounts leaked norm.
 """
 
 from __future__ import annotations
@@ -37,7 +44,6 @@ from .params import (MAX_BINS, BinWindow, DispersionProfile, MeasurementModel, M
                      TruncationPolicy)
 
 DEFAULT_BIN_BOUND = 512  # |bin| bound of the dense K x K path
-_GRAM_BLOCK = 2**20  # cap on the complex values in one block of _parity_grams' skew buffer
 _ARMS = ("A", "B")
 
 
@@ -113,15 +119,17 @@ def correlated_state(bins_a) -> TwoPhotonState:
 def modulation_kernel(setting: ModulationSetting,
                       policy: TruncationPolicy = TruncationPolicy()) -> tuple[np.ndarray, np.ndarray]:
     """Sideband offsets p in [-P, P] and weights J_p(c) e^{i p (gamma - pi/2)}."""
-    weights = _kernel_matrix([setting], [_sideband_amplitudes(setting.amplitude, policy)])[0]
-    p_max = weights.size // 2
-    return np.arange(-p_max, p_max + 1), weights
+    amps = _bessel_rows([_sideband_amplitudes(setting.amplitude, policy)])[0]
+    p_max = amps.size // 2
+    offsets = np.arange(-p_max, p_max + 1)
+    angles = offsets * (setting.phase - 0.5 * math.pi)
+    return offsets, amps * (np.cos(angles) + 1j * np.sin(angles))
 
 
-def _kernel_matrix(settings, amplitudes) -> np.ndarray:
-    """Sideband weights of each setting as zero-padded rows over p in [-P_max, P_max].
+def _bessel_rows(amplitudes) -> np.ndarray:
+    """Real sideband amplitudes J_p(c) as zero-padded rows over p in [-P_max, P_max].
 
-    amplitudes[s] lists J_0 .. J_P(c) of settings[s]; column j holds offset
+    amplitudes[s] lists J_0 .. J_P(c) of one drive; column j holds offset
     p = j - P_max, for P_max the largest kept order P.
     """
     p_max = max(len(js) for js in amplitudes) - 1
@@ -130,10 +138,7 @@ def _kernel_matrix(settings, amplitudes) -> np.ndarray:
         row[:len(js)] = js
     offsets = np.arange(-p_max, p_max + 1)
     # J_{-p} = (-1)**p J_p
-    amps = np.where((offsets < 0) & (offsets % 2 == 1), -1.0, 1.0) * bessel[:, np.abs(offsets)]
-    phases = np.array([setting.phase for setting in settings])
-    angles = offsets * (phases[:, None] - 0.5 * math.pi)
-    return amps * (np.cos(angles) + 1j * np.sin(angles))
+    return np.where((offsets < 0) & (offsets % 2 == 1), -1.0, 1.0) * bessel[:, np.abs(offsets)]
 
 
 def apply_modulator(state: TwoPhotonState,
@@ -265,32 +270,37 @@ def parity_tables(bins_a,
         _check_overrides(dispersion, window_a, "A")
         _check_overrides(dispersion, window_b, "B")
 
-    # one scalar amplitude pass per distinct setting, in first-occurrence order,
-    # so that a cap error names the setting the dense pipeline fails on
+    # one amplitude pass and one row of real Gram sums per distinct drive, in
+    # first-occurrence order, so that a cap error names the drive the dense
+    # pipeline fails on
     rows = {}
-    pair_rows = [(rows.setdefault(setting_a, len(rows)), rows.setdefault(setting_b, len(rows)))
+    pair_rows = [(rows.setdefault(setting_a.amplitude, len(rows)),
+                  rows.setdefault(setting_b.amplitude, len(rows)))
                  for setting_a, setting_b in pairs]
     if not pair_rows:
         return []
-    weights = _kernel_matrix(list(rows), [_sideband_amplitudes(s.amplitude, policy) for s in rows])
-    reach = min(weights.shape[1], window_a.width) - 1  # largest |d|: 2 P_max, and below K
-    grams = _parity_grams(weights, reach)
-    l1 = np.abs(weights).sum(axis=1).tolist()
+    bessel = _bessel_rows([_sideband_amplitudes(amplitude, policy) for amplitude in rows])
+    reach = min(bessel.shape[1], window_a.width) - 1  # largest |d|: 2 P_max, and below K
+    grams = _parity_grams(bessel, reach)
+    l1 = np.abs(bessel).sum(axis=1).tolist()
 
     # the envelope f(n) without its 1/sqrt(K) norm, which C_pi takes as a
     # factor 1/K, so that a uniform envelope's C_pi are exact bin-pair counts
-    envelope = np.zeros(window_a.width, dtype=complex)
+    envelope = np.zeros(window_a.width, dtype=complex if dispersed else float)
     envelope[bins - window_a.min_bin] = 1.0
     if dispersed:
         n = np.arange(window_a.min_bin, window_a.max_bin + 1)
         envelope *= np.exp(1j * (dispersion.phases(n) + dispersion.phases(-n)))
     corr = _envelope_correlation(envelope, window_a.min_bin, reach) / bins.size
 
-    # m[k, pi, s, t] = sum_d C_pi(d) g^A_s(d) g^B_t(-d) for pair k; the Gram
-    # rows are zero past each setting's own reach 2P
+    # m[k, pi, s, t] = sum_d Re(C_pi(d) w_k(d)) R^A_s(d) R^B_t(-d) for pair k,
+    # w_k(d) = e^{i d (gamma_A - gamma_B)}; the Gram rows are zero past each
+    # drive's own reach 2P
     index_a, index_b = np.array(pair_rows).T
-    m = np.einsum("pd,ksd,ktd->kpst", corr, grams[index_a], grams[index_b, :, ::-1])
-    values = (m[:, 0] + m[:, 1, ::-1, ::-1]).real.reshape(-1, 4).tolist()
+    delta = np.array([setting_a.phase - setting_b.phase for setting_a, setting_b in pairs])
+    phased = (corr * np.exp(1j * np.arange(-reach, reach + 1) * delta[:, None, None])).real
+    m = np.einsum("kpd,ksd,ktd->kpst", phased, grams[index_a], grams[index_b, :, ::-1])
+    values = (m[:, 0] + m[:, 1, ::-1, ::-1]).reshape(-1, 4).tolist()
 
     tol = policy.epsilon * policy.epsilon
     tables = []
@@ -310,25 +320,13 @@ def parity_tables(bins_a,
     return tables
 
 
-def _parity_grams(weights: np.ndarray, reach: int) -> np.ndarray:
-    """Gram sums g_pi(d) = sum_{p = pi mod 2} u(p) u*(p - d) of each row u, as [row, pi, d + reach].
-
-    The outer products u(p) u*(q), with q reversed and each row p skewed right
-    by its index, line up p - q = d in column d + 2P; the parity masks then sum
-    each column over p. Rows go in blocks of at most _GRAM_BLOCK skew values.
-    """
-    count, width = weights.shape
+def _parity_grams(bessel: np.ndarray, reach: int) -> np.ndarray:
+    """Gram sums R_pi(d) = sum_{p = pi mod 2} J_p J_{p - d} of each row, as [row, pi, d + reach]."""
+    width = bessel.shape[1]
     masks = (np.arange(width) - width // 2) % 2 == np.array([[0], [1]])
-    step = min(count, max(1, _GRAM_BLOCK // (2 * width * width)))
-    skew = np.zeros((step, width, 2 * width), dtype=complex)  # columns past width stay zero
-    grams = np.empty((count, 2, 2 * reach + 1), dtype=complex)
-    for start in range(0, count, step):
-        block = weights[start:start + step]
-        rows = len(block)
-        np.multiply(block[:, :, None], np.conj(block[:, None, ::-1]), out=skew[:rows, :, :width])
-        shifted = skew[:rows].reshape(rows, -1)[:, :width * (2 * width - 1)].reshape(rows, width, -1)
-        grams[start:start + step] = (masks @ shifted)[:, :, width - 1 - reach:width + reach]
-    return grams
+    # np.correlate(a, v, "full")[d + width - 1] = sum_p a(p) v(p - d) for real a, v
+    keep = slice(width - 1 - reach, width + reach)
+    return np.array([[np.correlate(row * mask, row, "full")[keep] for mask in masks] for row in bessel])
 
 
 def _envelope_correlation(envelope: np.ndarray, min_bin: int, reach: int) -> np.ndarray:

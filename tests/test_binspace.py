@@ -15,7 +15,6 @@ from freqbin import (BinWindow, DispersionProfile, InvalidInputError, Measuremen
                      chsh_finite, chsh_ideal, chsh_optimal_quad, correlated_state, effective_drive,
                      ideal_probabilities, modulation_kernel, parity_probabilities, parity_tables)
 from freqbin import binspace
-from freqbin.bessel import _sideband_amplitudes
 from freqbin.params import MAX_BINS
 
 POLICY = TruncationPolicy()
@@ -348,16 +347,35 @@ class TestParityTables:
             for g, w in zip(got.as_tuple(), want.as_tuple()):
                 assert abs(g - w) <= 1e-12
 
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_tables_see_only_the_phase_difference(self, case):
+        bins, model, dispersion, policy = self.CASES[case]
+        pairs = random_pairs(13, 4)
+        turned = [(ModulationSetting(a.amplitude, a.phase + 0.7),
+                   ModulationSetting(b.amplitude, b.phase + 0.7)) for a, b in pairs]
+        for got, want in zip(parity_tables(bins, turned, model, dispersion, policy),
+                             parity_tables(bins, pairs, model, dispersion, policy)):
+            for g, w in zip(got.as_tuple(), want.as_tuple()):
+                assert abs(g - w) <= 1e-15
+        # dyadic phases, so that both pairs' gamma_A - gamma_B are the same double
+        same = [(ModulationSetting(0.6955, 0.5), ModulationSetting(1.2, 0.25)),
+                (ModulationSetting(0.6955, 4.75), ModulationSetting(1.2, 4.5))]
+        first, second = parity_tables(bins, same, model, dispersion, policy)
+        assert first == second
+
     def test_builds_each_distinct_kernel_once(self, monkeypatch):
-        rows = []
-        build = binspace._kernel_matrix
-        monkeypatch.setattr(binspace, "_kernel_matrix",
-                            lambda settings, amplitudes: rows.extend(settings)
-                            or build(settings, amplitudes))
+        # a phase scan at one drive is one amplitude pass and one row of Gram sums
+        passes, rows = [], []
+        amplitudes, build = binspace._sideband_amplitudes, binspace._bessel_rows
+        monkeypatch.setattr(binspace, "_sideband_amplitudes",
+                            lambda c, policy: passes.append(c) or amplitudes(c, policy))
+        monkeypatch.setattr(binspace, "_bessel_rows",
+                            lambda amps: rows.extend(amps) or build(amps))
         sb = ModulationSetting(0.6955, 0.0)
         pairs = [(ModulationSetting(0.6955, alpha), sb) for alpha in (0.1, 0.2, 0.3)]
         parity_tables(range(1, 7), pairs)
-        assert len(rows) == 4
+        assert passes == [0.6955]
+        assert len(rows) == 1
 
     def test_rejects_what_the_dense_path_rejects(self):
         pair = [(ModulationSetting(0.5, 0.0), ModulationSetting(0.5, 1.0))]
@@ -394,9 +412,8 @@ class TestParityTables:
         assert abs(banded - dense) <= 1e-12
 
     def test_probability_sum_check_trips_on_a_lossy_kernel(self, monkeypatch):
-        build = binspace._kernel_matrix
-        monkeypatch.setattr(binspace, "_kernel_matrix",
-                            lambda settings, amplitudes: 0.9 * build(settings, amplitudes))
+        build = binspace._bessel_rows
+        monkeypatch.setattr(binspace, "_bessel_rows", lambda amplitudes: 0.9 * build(amplitudes))
         with pytest.raises(ProbabilitySumError):
             parity_tables(range(1, 7), chsh_optimal_quad().pairs())
 
@@ -454,23 +471,8 @@ class TestParityTables:
             parity_tables([0, MAX_BINS], pairs)
         assert len(parity_tables([0, MAX_BINS - 1], pairs)) == 4
 
-    def test_blocked_grams_equal_one_batch_bitwise(self, monkeypatch):
-        rng = np.random.default_rng(5)
-        settings = [ModulationSetting(float(rng.uniform(0, 8)), float(rng.uniform(0, 2 * math.pi)))
-                    for _ in range(20)]
-        weights = binspace._kernel_matrix(
-            settings, [_sideband_amplitudes(s.amplitude, POLICY) for s in settings])
-        width = weights.shape[1]
-        for reach in (0, 5, width - 1):
-            whole = binspace._parity_grams(weights, reach)
-            assert whole.shape == (20, 2, 2 * reach + 1)
-            for rows in (1, 3, 7):
-                monkeypatch.setattr(binspace, "_GRAM_BLOCK", rows * 2 * width * width)
-                assert np.array_equal(binspace._parity_grams(weights, reach), whole)
-            monkeypatch.undo()
-
-    def test_peak_memory_of_many_wide_kernels_is_one_gram_block(self):
-        # c = 30 keeps order 58: one 301 x 117 x 234 skew buffer would take ~132 MB
+    def test_peak_memory_of_many_wide_kernels_is_under_one_mib(self):
+        # c = 30 keeps order 58: the phase scan shares one row of real Gram sums
         fixed = ModulationSetting(30.0, 0.0)
         pairs = [(ModulationSetting(30.0, 2 * math.pi * k / 300), fixed) for k in range(300)]
         parity_tables(range(1, 7), pairs[:2])
@@ -480,7 +482,7 @@ class TestParityTables:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 * binspace._GRAM_BLOCK * np.dtype(complex).itemsize
+        assert peak < 2**20
 
     def test_no_pairs_no_tables(self):
         assert parity_tables(range(1, 7), []) == []

@@ -539,9 +539,8 @@ class TestExitCodes:
 
     def test_probability_sum_fault_is_data_error(self, monkeypatch, capsys):
         from freqbin import binspace
-        build = binspace._kernel_matrix
-        monkeypatch.setattr(binspace, "_kernel_matrix",
-                            lambda settings, amplitudes: 0.9 * build(settings, amplitudes))
+        build = binspace._bessel_rows
+        monkeypatch.setattr(binspace, "_bessel_rows", lambda amplitudes: 0.9 * build(amplitudes))
         assert run_cli("chsh", "finite") == 3
         assert "sums to" in capsys.readouterr().err
 
