@@ -3,6 +3,7 @@
 import io
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -245,6 +246,19 @@ class TestHistogramFormat:
                 ingest_histogram(source)
             assert excinfo.value.line == 3
 
+    @pytest.mark.parametrize("newline", ["\r", "\r\n", "\x0c", "\x85", "\u2028"])
+    def test_non_utf8_line_follows_the_parsers_line_breaks(self, newline):
+        # the bad byte and an unknown pair on line 3 are both reported there
+        lines = ["# coincidence-histogram v1, bin_width_s=5e-10", "EE,0,3", "EE,1,{}", "EE,2,1"]
+        text = newline.join(lines)
+        with pytest.raises(HistogramFormatError, match="unknown channel pair") as excinfo:
+            ingest_histogram(text.format("3").replace("EE,1", "XY,1"))
+        assert excinfo.value.line == 3
+        head, tail = text.encode("utf-8").split(b"{}")
+        with pytest.raises(HistogramFormatError, match="not UTF-8") as excinfo:
+            ingest_histogram(head + b"\xff" + tail)
+        assert excinfo.value.line == 3
+
     def test_span_cap(self):
         header = "# coincidence-histogram v1, bin_width_s=5e-10\n"
         widest = ingest_histogram(header + f"EE,0,1\nOO,{MAX_SPAN_BINS - 1},1\n")
@@ -413,6 +427,147 @@ class TestParserEquivalence:
                      f"EE,{2**63 - 5},5\nOO,{2**63 + 5},1\n",
                      f"EE,{-10**30},5\nOO,{10**30},1\n"):
             assert_same_parse(lambda: header + body, body)
+
+
+HEADER = "# coincidence-histogram v1, bin_width_s=5e-10"
+# one faulty row each, from the row's delay bin n; the EE row before it holds bin n - 1
+CUT_FAULTS = {"arity": lambda n: f"EE,{n}", "unknown pair": lambda n: f"XY,{n},1",
+              "non-integer": lambda n: f"EE,{n},x", "negative count": lambda n: f"EE,{n},-3",
+              "count past int64": lambda n: f"EE,{n},{2**63}",
+              "non-monotone": lambda n: f"EE,{n - 1},1", "span": lambda n: f"OO,{MAX_SPAN_BINS},1"}
+# valid (line ending the first chunk, lines opening the next), numbering the free EE
+# bins from {0}; the line before the cut may hold other line breaks, never a "\n"
+CUT_SEPARATORS = [("EE,{0},1\r", "EE,{1},1"),                          # "\r\n" at the cut
+                  ("EE,{0},1\rEE,{1},1", "EE,{2},1\rEE,{3},1"),
+                  ("EE,{0},1\x0cEE,{1},1", "\x0cEE,{2},1"),
+                  ("EE,{0},1\u2028EE,{1},1", "EE,{2},1\u2029\x85EE,{3},1"),
+                  ("   ", "\n\t\nEE,{0},1"),                              # blank lines
+                  (" EE ,{0}, 1", "\u3000EE\t,{1},1 "),              # padded pair spellings
+                  ("EE,{0},1", " EE,{1},1\nEE,{2},1"),
+                  ("OO,{0},1", "EE,{0},1")]                               # a pair's first row
+
+
+def text_around_cut(chunk, last, first, shift=0):
+    """Histogram text with a chunk cut between two given lines, and their line numbers.
+
+    Filler rows EE,0,1, EE,1,1, ... end at character chunk - shift. The line
+    last(i) follows, with i the next free EE bin, so its newline is the first
+    at or past character chunk (for len(last(i)) >= shift) and ends the
+    parser's first chunk; first(i) opens the next one, and three valid rows
+    close the text.
+    """
+    rows = [HEADER]
+    size = len(HEADER) + 1
+    while size + len(f"EE,{len(rows) - 1},1\n") <= chunk - shift:
+        rows.append(f"EE,{len(rows) - 1},1")
+        size += len(rows[-1]) + 1
+    rows[-1] += " " * (chunk - shift - size)  # the count field takes trailing spaces
+    i = len(rows) - 1
+    lines = rows + [last(i), first(i)] + [f"EE,{n},2" for n in range(i + 10, i + 13)]
+    text = "\n".join(lines) + "\n"
+    assert text.find("\n", chunk) == len("\n".join(rows + [last(i)]))
+    return text, len(rows) + 1, len(rows) + 2
+
+
+class TestChunkedIngest:
+    """The parser splits the text into lines a chunk of _CHUNK_CHARS characters at a time.
+
+    Small chunks put cuts into short texts; the oracle splits the whole text at once.
+    """
+
+    CHUNK = 256
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr("freqbin.counts._CHUNK_CHARS", self.CHUNK)
+
+    @pytest.mark.parametrize("fault", sorted(CUT_FAULTS))
+    def test_fault_either_side_of_a_cut(self, small_chunks, fault):
+        self.assert_fault_either_side(self.CHUNK, fault)
+
+    def test_fault_either_side_of_a_full_size_cut(self):
+        from freqbin.counts import _CHUNK_CHARS
+        self.assert_fault_either_side(_CHUNK_CHARS, "non-monotone")
+
+    def assert_fault_either_side(self, chunk, fault):
+        row = CUT_FAULTS[fault]
+        text, line, _ = text_around_cut(chunk, row, lambda i: f"EE,{i + 1},1")
+        self.assert_fault(text, fault, line)
+        text, _, line = text_around_cut(chunk, lambda i: f"EE,{i},1", lambda i: row(i + 1))
+        self.assert_fault(text, fault, line)
+
+    def assert_fault(self, text, fault, line):
+        if fault != "count past int64":  # which the oracle stores, and overflows
+            assert assert_same_parse(lambda: text, fault) is HistogramFormatError
+        with pytest.raises(HistogramFormatError) as excinfo:
+            ingest_histogram(text)
+        assert excinfo.value.line == (None if fault == "span" else line)
+
+    @pytest.mark.parametrize("last, first", CUT_SEPARATORS)
+    @pytest.mark.parametrize("shift", [0, 1, 3])
+    def test_line_breaks_blank_lines_and_padding_at_a_cut(self, small_chunks, last, first, shift):
+        text, _, _ = text_around_cut(self.CHUNK, lambda i: last.format(*range(i, i + 4)),
+                                     lambda i: first.format(*range(i, i + 4)), shift)
+        assert assert_same_parse(lambda: text, (last, first)) == "ok"
+        data = text.replace("\n", "\r\n").encode("utf-8")
+        assert assert_same_parse(lambda: io.BytesIO(data), (last, first, "\r\n")) == "ok"
+
+    @pytest.mark.parametrize("chunk", [None, 4096, 97])
+    def test_benchmark_shaped_files(self, monkeypatch, chunk):
+        if chunk is not None:
+            monkeypatch.setattr("freqbin.counts._CHUNK_CHARS", chunk)
+        probs = apply_crosstalk(ideal_probabilities(effective_drive(
+            ModulationSetting(0.6955, 0.0), ModulationSetting(0.6955, 1.0))), 0.0241)
+        for seed in range(3):
+            histogram = synthesize_histogram(probs, experiment_model(), seed, span_bins=2000)
+            text = emit_histogram(histogram)
+            assert assert_same_parse(lambda: text, seed) == "ok"
+            back = ingest_histogram(text)
+            assert back.start_index == histogram.start_index
+            assert list(back.counts) == list(OUTCOMES)
+            for pair in OUTCOMES:
+                assert np.array_equal(back.counts[pair], histogram.counts[pair])
+
+
+class TestIngestMemory:
+    """tracemalloc peaks of one 12,000-row ingest, in 8 KiB chunks so the test stays short.
+
+    The parser holds one chunk's lines (~70 B each) and 16 B per kept row;
+    holding the whole file's lines and per-row int lists took ~150 B per row.
+    """
+
+    ROWS = 12_000
+
+    @pytest.fixture(autouse=True)
+    def chunks_of_8k(self, monkeypatch):
+        monkeypatch.setattr("freqbin.counts._CHUNK_CHARS", 8192)
+
+    def traced_peak(self, text):
+        tracemalloc.start()
+        try:
+            try:
+                ingest_histogram(text)
+            except HistogramFormatError as exc:
+                return tracemalloc.get_traced_memory()[1], exc
+            return tracemalloc.get_traced_memory()[1], None
+        finally:
+            tracemalloc.stop()
+
+    def test_valid_file(self):
+        n = self.ROWS // 4
+        counts = {pair: np.arange(n, dtype=np.int64) % 1000 for pair in OUTCOMES}
+        text = emit_histogram(Histogram(bin_width_s=5e-10, start_index=-n // 2, counts=counts))
+        peak, error = self.traced_peak(text)
+        assert error is None
+        assert peak < 600_000, peak  # measured 0.34 MB; 1.78 MB with every line held
+
+    def test_over_span_file(self):
+        # every row after the first lies past the cap, so none of them is kept
+        text = HEADER + "\nEE,0,1\n" + "".join(f"EE,{MAX_SPAN_BINS + k},{k % 1000}\n"
+                                               for k in range(self.ROWS))
+        peak, error = self.traced_peak(text)
+        assert error is not None and "span" in str(error)
+        assert peak < 200_000, peak  # measured 0.13 MB; 0.31 MB if they were kept
 
 
 class TestEmitMatchesOracle:
