@@ -21,13 +21,17 @@ sees its phases only through w(d) = e^{i d (gamma_A - gamma_B)}, and
 
     P(x, y) = sum_pi sum_d Re(C_pi(d) w(d)) R^A_{(x - pi) mod 2}(d) R^B_{(y + pi) mod 2}(-d).
 
-One call batches every pair: one Bessel row and one row of R_pi per distinct
-drive, C_pi from two correlations of the envelope (real unless dispersed),
-and all the tables from one contraction. For S pairs over A distinct drives
-that costs O(K P + A P^2 + S P) time and O(K + (A + S) P) memory per call,
-instead of O(K^2 P) per setting pair. The dense TwoPhotonState path, held to
-|bin| <= DEFAULT_BIN_BOUND, is its test oracle and the only path that clips
-to a max_window and accounts leaked norm.
+One call batches every pair: one Bessel row per distinct drive, every row of
+R_pi from one matrix product, and all the tables from one contraction. When
+the bins fill their window and the dispersion is the quadratic profile
+c n^2 (or zero) with no per-bin overrides, C_pi(d) is a geometric sum in
+closed form: a bin-pair count on a uniform envelope, a Dirichlet kernel
+times a phase on a dispersed one. Other envelopes take C_pi from two
+correlations over the window. For S pairs over A distinct drives a call
+costs O(A P^2 + S P) time past the O(K) read of the bins, and O(K P) more
+for the correlations, instead of O(K^2 P) per setting pair. The dense
+TwoPhotonState path, held to |bin| <= DEFAULT_BIN_BOUND, is its test oracle
+and the only path that clips to a max_window and accounts leaked norm.
 """
 
 from __future__ import annotations
@@ -38,13 +42,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import _sideband_amplitudes
-from .closedform import ProbTable, apply_crosstalk
+from .closedform import _PROB_SLACK, ProbTable, apply_crosstalk
 from .errors import InvalidInputError, ProbabilitySumError, WindowBoundError
 from .params import (MAX_BINS, BinWindow, DispersionProfile, MeasurementModel, ModulationSetting,
                      TruncationPolicy)
 
 DEFAULT_BIN_BOUND = 512  # |bin| bound of the dense K x K path
 _ARMS = ("A", "B")
+_OUTCOMES = ("p_ee", "p_eo", "p_oe", "p_oo")
+_DEFAULT_POLICY = TruncationPolicy()
 
 
 @dataclass(eq=False)
@@ -90,9 +96,10 @@ def _check_arm(arm: str) -> None:
 def _alice_bins(bins_a) -> tuple[np.ndarray, BinWindow]:
     """The bins as a sorted int64 array and the window they span."""
     try:
-        bins = np.sort(np.fromiter(bins_a, dtype=np.int64))
+        bins = np.fromiter(bins_a, dtype=np.int64)
     except OverflowError:
         raise WindowBoundError("bin indices must fit in int64") from None
+    bins.sort()
     if not bins.size:
         raise InvalidInputError("need at least one bin")
     if np.any(bins[1:] == bins[:-1]):
@@ -117,7 +124,7 @@ def correlated_state(bins_a) -> TwoPhotonState:
 
 
 def modulation_kernel(setting: ModulationSetting,
-                      policy: TruncationPolicy = TruncationPolicy()) -> tuple[np.ndarray, np.ndarray]:
+                      policy: TruncationPolicy = _DEFAULT_POLICY) -> tuple[np.ndarray, np.ndarray]:
     """Sideband offsets p in [-P, P] and weights J_p(c) e^{i p (gamma - pi/2)}."""
     amps = _bessel_rows([_sideband_amplitudes(setting.amplitude, policy)])[0]
     p_max = amps.size // 2
@@ -133,18 +140,19 @@ def _bessel_rows(amplitudes) -> np.ndarray:
     p = j - P_max, for P_max the largest kept order P.
     """
     p_max = max(len(js) for js in amplitudes) - 1
-    bessel = np.zeros((len(amplitudes), p_max + 1))
+    bessel = np.zeros((len(amplitudes), 2 * p_max + 1))
     for row, js in zip(bessel, amplitudes):
-        row[:len(js)] = js
-    offsets = np.arange(-p_max, p_max + 1)
+        row[p_max:p_max + len(js)] = js
     # J_{-p} = (-1)**p J_p
-    return np.where((offsets < 0) & (offsets % 2 == 1), -1.0, 1.0) * bessel[:, np.abs(offsets)]
+    bessel[:, :p_max] = bessel[:, :p_max:-1]
+    bessel[:, :p_max][:, ::-2] *= -1.0
+    return bessel
 
 
 def apply_modulator(state: TwoPhotonState,
                     arm: str,
                     setting: ModulationSetting,
-                    policy: TruncationPolicy = TruncationPolicy(),
+                    policy: TruncationPolicy = _DEFAULT_POLICY,
                     *,
                     max_window: BinWindow | None = None,
                     bin_bound: int = DEFAULT_BIN_BOUND) -> TwoPhotonState:
@@ -235,10 +243,7 @@ def parity_probabilities(state: TwoPhotonState, model: MeasurementModel | None =
     p_eo = float(intensity[np.ix_(even_a, ~even_b)].sum())
     p_oe = float(intensity[np.ix_(~even_a, even_b)].sum())
     p_oo = float(intensity[np.ix_(~even_a, ~even_b)].sum())
-    return _with_crosstalk(ProbTable(p_ee, p_eo, p_oe, p_oo), model)
-
-
-def _with_crosstalk(table: ProbTable, model: MeasurementModel | None) -> ProbTable:
+    table = ProbTable(p_ee, p_eo, p_oe, p_oo)
     if model is not None and model.crosstalk > 0.0:
         table = apply_crosstalk(table, model.crosstalk)
     return table
@@ -256,11 +261,13 @@ def parity_tables(bins_a,
     (apply_modulator on A, then on B, then parity_probabilities with the
     model) to rounding, and the same inputs raise the same errors, save that
     only the window width is bounded: past MAX_BINS bins it raises once bins_a
-    is read, before the envelope and Gram buffers. The banded form in the
-    module docstring computes all tables in one pass.
+    is read, before anything else is computed. The banded form in the module
+    docstring computes all tables in one pass. C_pi takes its closed form
+    when the bins fill their window and the dispersion has no per-bin
+    overrides, and the envelope correlation otherwise.
     """
     if policy is None:
-        policy = TruncationPolicy()
+        policy = _DEFAULT_POLICY
     bins, window_a = _alice_bins(bins_a)
     if window_a.width > MAX_BINS:
         raise WindowBoundError(f"window [{window_a.min_bin}, {window_a.max_bin}] exceeds {MAX_BINS} bins")
@@ -284,49 +291,133 @@ def parity_tables(bins_a,
     grams = _parity_grams(bessel, reach)
     l1 = np.abs(bessel).sum(axis=1).tolist()
 
-    # the envelope f(n) without its 1/sqrt(K) norm, which C_pi takes as a
-    # factor 1/K, so that a uniform envelope's C_pi are exact bin-pair counts
-    envelope = np.zeros(window_a.width, dtype=complex if dispersed else float)
-    envelope[bins - window_a.min_bin] = 1.0
-    if dispersed:
-        n = np.arange(window_a.min_bin, window_a.max_bin + 1)
-        envelope *= np.exp(1j * (dispersion.phases(n) + dispersion.phases(-n)))
-    corr = _envelope_correlation(envelope, window_a.min_bin, reach) / bins.size
+    # C_pi of the envelope f(n) without its 1/sqrt(K) norm, which C_pi takes
+    # as a factor 1/K, so that a uniform envelope's C_pi are exact bin-pair counts
+    if bins.size == window_a.width and not (dispersed and dispersion.per_bin_overrides):
+        corr = _window_correlation(window_a, dispersion.quadratic_coefficient if dispersed else 0.0, reach)
+    else:
+        envelope = np.zeros(window_a.width, dtype=complex if dispersed else float)
+        envelope[bins - window_a.min_bin] = 1.0
+        if dispersed:
+            n = np.arange(window_a.min_bin, window_a.max_bin + 1)
+            envelope *= np.exp(1j * (dispersion.phases(n) + dispersion.phases(-n)))
+        corr = _envelope_correlation(envelope, window_a.min_bin, reach)
+    corr /= bins.size
 
     # m[k, pi, s, t] = sum_d Re(C_pi(d) w_k(d)) R^A_s(d) R^B_t(-d) for pair k,
     # w_k(d) = e^{i d (gamma_A - gamma_B)}; the Gram rows are zero past each
     # drive's own reach 2P
     index_a, index_b = np.array(pair_rows).T
     delta = np.array([setting_a.phase - setting_b.phase for setting_a, setting_b in pairs])
-    phased = (corr * np.exp(1j * np.arange(-reach, reach + 1) * delta[:, None, None])).real
+    angles = np.arange(-reach, reach + 1) * delta[:, None, None]
+    if corr.dtype == complex:
+        phased = (corr * np.exp(1j * angles)).real
+    else:
+        phased = corr * np.cos(angles)
     m = np.einsum("kpd,ksd,ktd->kpst", phased, grams[index_a], grams[index_b, :, ::-1])
-    values = (m[:, 0] + m[:, 1, ::-1, ::-1]).reshape(-1, 4).tolist()
+    values = (m[:, 0] + m[:, 1, ::-1, ::-1]).reshape(-1, 4)
 
     tol = policy.epsilon * policy.epsilon
-    tables = []
-    for (row_a, row_b), table_values in zip(pair_rows, values):
-        table = ProbTable(*table_values)
+    for (row_a, row_b), (ee, eo, oe, oo) in zip(pair_rows, values.tolist()):
+        for name, p in zip(_OUTCOMES, (ee, eo, oe, oo)):
+            if not -_PROB_SLACK <= p <= 1.0 + _PROB_SLACK:
+                raise InvalidInputError(f"{name} = {p!r} is not a probability")
+        total = ee + eo + oe + oo
         # Each kernel u keeps all but t <= epsilon**2 of its squared norm, and
         # |sum_p u(p) e^{ip theta}| <= sum_p |u(p)|. The correlated state's
         # sideband phases are uniform on each arm, so by Cauchy-Schwarz the
         # total is 1 - t_A - t_B + X with |X| <= epsilon**2 (1 + l1_A)(1 + l1_B).
         spread = tol * (1.0 + l1[row_a]) * (1.0 + l1[row_b])
         low, high = 1.0 - 2.0 * tol - spread - 1e-12, 1.0 + spread + 1e-12
-        if not low <= table.total <= high:
+        if not low <= total <= high:
             raise ProbabilitySumError(
-                f"parity table sums to {table.total!r}, outside [{low!r}, {high!r}] "
+                f"parity table sums to {total!r}, outside [{low!r}, {high!r}] "
                 f"for truncation epsilon {policy.epsilon!r}")
-        tables.append(_with_crosstalk(table, model))
-    return tables
+    if model is not None and model.crosstalk > 0.0:
+        # apply_crosstalk on every table at once: each photon's parity label
+        # flips independently with probability x
+        x = model.crosstalk
+        flip = np.array([[1.0 - x, x], [x, 1.0 - x]])
+        values = values @ (flip[:, None, :, None] * flip[None, :, None, :]).reshape(4, 4)
+    return [ProbTable(*table_values) for table_values in values.tolist()]
 
 
 def _parity_grams(bessel: np.ndarray, reach: int) -> np.ndarray:
     """Gram sums R_pi(d) = sum_{p = pi mod 2} J_p J_{p - d} of each row, as [row, pi, d + reach]."""
-    width = bessel.shape[1]
-    masks = (np.arange(width) - width // 2) % 2 == np.array([[0], [1]])
-    # np.correlate(a, v, "full")[d + width - 1] = sum_p a(p) v(p - d) for real a, v
-    keep = slice(width - 1 - reach, width + reach)
-    return np.array([[np.correlate(row * mask, row, "full")[keep] for mask in masks] for row in bessel])
+    count, width = bessel.shape
+    even = width // 2 % 2  # column j holds p = j - width // 2
+    masked = np.zeros((count, 2, width))
+    masked[:, 0, even::2] = bessel[:, even::2]
+    masked[:, 1, 1 - even::2] = bessel[:, 1 - even::2]
+    padded = np.zeros((count, width + 2 * reach))
+    padded[:, reach:reach + width] = bessel
+    # windows[r, j, reach - d] = padded[r, j + reach - d], the J_{p - d} of row r
+    row_step, step = padded.strides
+    windows = np.ndarray((count, width, 2 * reach + 1), buffer=padded, strides=(row_step, step, step))
+    return np.matmul(masked, windows)[:, :, ::-1]
+
+
+_PARITIES = (np.array([[0], [1]]), np.array([[1], [0]]))  # pi + min_bin mod 2, by min_bin mod 2
+# floor(2**256 / pi), the bits of 1 / pi that _turns cuts into pieces
+_INV_PI = 0x517cc1b727220a94fe13abe8fa9a6ee06db14acc9e21c820ff28b1d5ef5de2b0
+
+
+def _window_correlation(window: BinWindow, coefficient: float, reach: int) -> np.ndarray:
+    """C_pi(d) of the envelope e^{2 i coefficient n^2} on every bin of the window, in closed form.
+
+    Rows pi = 0, 1 are indexed by d + reach, as _envelope_correlation's. The
+    n = pi mod 2 with n and n + d in the window run from n0 to n1 in steps of
+    2, N terms, so for theta = -8 c d the geometric sum is
+
+        C_pi(d) = e^{-2 i c d (d + n0 + n1)} sin(N theta / 2) / sin(theta / 2),
+
+    the bin-pair count N when c = 0. The phase is exact while d (d + n0 + n1)
+    stays below 2**53, for bins within about 2**40 of 0.
+    """
+    d = np.arange(-reach, reach + 1)
+    start = np.maximum(-d, 0)  # offset from min_bin of the first n with n + d in the window
+    skip = (start + _PARITIES[window.min_bin % 2]) & 1  # 1 where that n has the other parity
+    terms = (window.width + 1 - np.abs(d) - skip) >> 1
+    if coefficient == 0.0:
+        return terms.astype(float)
+    # theta less its whole turns k, so that an angle near a whole turn keeps
+    # its relative precision; the kernel is then (-1)**((N - 1) k) times its
+    # value at the reduced angle, or N where that angle is 0
+    theta = (-8.0 * coefficient) * d
+    turns = np.rint(theta * (0.5 / math.pi))
+    half = 0.5 * theta - math.pi * turns
+    sine = np.sin(half)
+    kernel = terms.astype(float)
+    np.divide(np.sin(terms * half), sine, out=kernel, where=sine != 0.0)
+    # d (d + n0 + n1) with n0 + n1 = 2 (min_bin + start + skip + N - 1)
+    q = d * (2 * (start + skip + terms) + (d + (2.0 * window.min_bin - 2.0)))
+    bound = reach * (reach + 2 * (abs(window.min_bin) + window.width))
+    flip = np.fmod(turns, 2.0) * (~terms & 1)  # +-1 where k is odd and N even
+    phase = _turns(-coefficient, q, bound) + 0.5 * flip
+    return kernel * np.exp(2j * math.pi * phase)
+
+
+def _turns(rate: float, q: np.ndarray, bound: int) -> np.ndarray:
+    """The angle 2 rate q in turns, less whole turns, for integer-valued q with |q| <= bound < 2**53.
+
+    One float product would lose |rate q| * 1e-16 of a turn. Here rate / pi is
+    cut into pieces so short that each times any q is an exact double, whose
+    whole turns drop out exactly, until the rest times q is below a turn; the
+    result lies within a turn or two of 0.
+    """
+    mantissa, exponent = math.frexp(abs(rate))
+    rest, scale = int(math.ldexp(mantissa, 53)) * _INV_PI, exponent - 53 - 256  # |rate| / pi = rest 2**scale
+    sign = math.copysign(1.0, rate)
+    bits = max(1, 53 - bound.bit_length())
+    pieces = []
+    while bound * math.ldexp(rest, scale) >= 1.0:
+        shift = max(0, rest.bit_length() - bits)
+        pieces.append(sign * math.ldexp(rest >> shift, shift + scale))
+        rest &= (1 << shift) - 1
+    turns = q * (sign * math.ldexp(rest, scale))
+    for piece in pieces:
+        turns += np.modf(q * piece)[0]
+    return turns
 
 
 def _envelope_correlation(envelope: np.ndarray, min_bin: int, reach: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import cmath
 import math
 import tracemalloc
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -501,6 +502,118 @@ class TestParityTables:
         finally:
             tracemalloc.stop()
         assert peak < 24 * len(bins) * np.dtype(complex).itemsize
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_only_gapped_or_overridden_envelopes_take_the_correlation(self, case, monkeypatch):
+        calls = []
+        correlate = binspace._envelope_correlation
+        monkeypatch.setattr(binspace, "_envelope_correlation",
+                            lambda *args: calls.append(args[0].size) or correlate(*args))
+        bins, model, dispersion, policy = self.CASES[case]
+        parity_tables(bins, random_pairs(17, 2), model, dispersion, policy)
+        assert bool(calls) == (case in ("non-contiguous", "quadratic + overrides"))
+
+    def test_closed_form_covers_every_contiguous_quadratic_window(self, monkeypatch):
+        monkeypatch.setattr(binspace, "_envelope_correlation", None)
+        pairs = random_pairs(19, 2)
+        for bins in (range(5, 6), range(-3, 9), range(-7, -2), range(-100_000, 100_001)):
+            for dispersion in (None, DispersionProfile(0.0), DispersionProfile(-3e-3, {}),
+                               DispersionProfile(1e-6)):
+                assert len(parity_tables(bins, pairs, dispersion=dispersion)) == 2
+
+    def test_peak_memory_of_a_dispersed_200001_bin_window(self):
+        # the bins themselves take 8 B each; the closed form allocates nothing per bin
+        bins = range(-100_000, 100_001)
+        pairs = chsh_optimal_quad().pairs()
+        dispersion = DispersionProfile(1e-6)
+        parity_tables(range(1, 7), pairs, dispersion=dispersion)
+        tracemalloc.start()
+        try:
+            parity_tables(bins, pairs, dispersion=dispersion)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * len(bins)
+
+
+def exact_window_correlation(low, high, coefficient, reach):
+    """C_pi(d) of e^{2 i c n^2} on bins low..high at 40 digits, from the geometric series.
+
+    The n = pi mod 2 with n and n + d in the window are n0 + 2j, j < N, and the
+    terms e^{2 i c (n^2 - (n + d)^2)} are e^{-2 i c d (2 n0 + d)} r^j for
+    r = e^{-8 i c d}, so the sum is that factor times (1 - r^N) / (1 - r).
+    """
+    out = np.zeros((2, 2 * reach + 1), dtype=complex)
+    with mp.workdps(40):
+        c = mp.mpf(coefficient)
+        for parity in (0, 1):
+            for d in range(-reach, reach + 1):
+                first, last = max(low, low - d), min(high, high - d)
+                n0 = first + (first - parity) % 2
+                count = max(0, (last - n0) // 2 + 1)
+                ratio = mp.expj(-8 * c * d)
+                series = count if ratio == 1 else (1 - ratio ** count) / (1 - ratio)
+                out[parity, d + reach] = complex(mp.expj(-2 * c * d * (2 * n0 + d)) * series)
+    return out
+
+
+def window_error(low, high, coefficient, reach):
+    """Largest |closed form - exact| over d and both parities, per bin of the window."""
+    got = binspace._window_correlation(BinWindow(low, high), coefficient, reach)
+    return float(np.abs(got - exact_window_correlation(low, high, coefficient, reach)).max()) / (high - low + 1)
+
+
+class TestWindowCorrelation:
+    """The closed-form C_pi(d) of a contiguous window against exact sums and the correlation."""
+
+    def test_exact_oracle_is_the_direct_sum(self):
+        with mp.workdps(40):
+            c = mp.mpf(7.3e-3)
+            for parity in (0, 1):
+                for d in (-9, -4, 0, 3, 10):
+                    direct = mp.fsum(mp.expj(2 * c * (n * n - (n + d) ** 2)) for n in range(-13, 21)
+                                     if n % 2 == parity and -13 <= n + d <= 20)
+                    series = exact_window_correlation(-13, 20, 7.3e-3, 10)[parity, d + 10]
+                    assert abs(complex(direct) - series) < 1e-15
+
+    def test_uniform_window_counts_equal_the_correlation_bitwise(self):
+        for low, width in ((1, 6), (-20, 41), (-400, 801), (7, 1), (-3, 2), (2**62, 40), (-2**63, 9)):
+            for reach in sorted({0, 1, width // 2, width - 1}):
+                got = binspace._window_correlation(BinWindow(low, low + width - 1), 0.0, reach)
+                want = binspace._envelope_correlation(np.ones(width), low, reach)
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_matches_exact_sums_on_random_windows(self):
+        rng = np.random.default_rng(23)
+        windows = [(int(rng.integers(-3000, 3001)), int(rng.integers(1, 4001))) for _ in range(8)]
+        # narrow windows far from bin 0, where the phase d (d + n0 + n1) c is large
+        # against the few terms of the sum
+        windows += [(2960, 40), (-3000, 12), (-2999, 33), (1500, 3)]
+        for low, width in windows:
+            drawn = float(rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-8, -2))
+            for coefficient in (drawn, math.copysign(1e-2, -drawn)):
+                assert window_error(low, low + width - 1, coefficient, min(width - 1, 40)) <= 1e-14
+
+    @pytest.mark.parametrize("coefficient", [math.pi / 8, math.pi / 8 + 1e-12, math.pi / 8 - 7e-13,
+                                             math.pi / 4, math.pi / 4 + 1e-12, math.pi / 4 - 4e-12])
+    def test_near_whole_turns(self, coefficient):
+        # 8 c d lies within 1e-10 of 2 pi k for every d (c ~ pi/4) or every even d
+        # (c ~ pi/8): sin(theta / 2) -> 0 and C_pi(d) -> N e^{i phase}
+        for low, width in ((-20, 41), (-1000, 2001), (1777, 4001)):
+            assert window_error(low, low + width - 1, coefficient, 12) <= 5e-12
+
+    def test_matches_the_envelope_correlation_up_to_100001_bins(self):
+        for half, coefficient in ((400, 1e-4), (10_000, -3e-3), (50_000, 1e-6), (50_000, -2e-5)):
+            window = BinWindow(-half, half + 7)
+            n = np.arange(window.min_bin, window.max_bin + 1)
+            profile = DispersionProfile(coefficient)
+            envelope = np.exp(1j * (profile.phases(n) + profile.phases(-n)))
+            want = binspace._envelope_correlation(envelope, window.min_bin, 40)
+            got = binspace._window_correlation(window, coefficient, 40)
+            assert float(np.abs(got - want).max()) <= 1e-12 * window.width
+        # at c = 7e-3 the correlation's own phases 2 c n^2 ~ 3.5e7 rad put it
+        # 2.9e-12 K off the exact sums; the closed form stays within 1e-16 K
+        assert window_error(-50_000, 50_007, 7e-3, 40) <= 1e-14
 
 
 @st.composite
