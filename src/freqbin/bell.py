@@ -7,13 +7,15 @@ amplitude, S(c) = 3 J_0(4c) - J_0(12c); the general 8-parameter search is kept
 as a numerical check of that structure. It runs multi-start L-BFGS-B on the
 analytic gradient: with D^2 = a^2 + b^2 + 2ab cos(alpha - beta) per pair,
 dJ_0(2D)/d(D^2) = -J_1(2D)/D, and the partials of D^2 are closed-form; J_0
-and J_1 come from scipy.special. Restarts that reach the optimum tie to
-~1e-15, so the search reports the first restart within 1e-12 of the best, and
-the last bits of the objective never choose the quad.
+and J_1 come from scipy.special. The solver gets -S and its gradient as two
+callables that share one evaluation per point. Restarts that reach the
+optimum tie to ~1e-15, so the search reports the first restart within 1e-12
+of the best, and the last bits of the objective never choose the quad.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -28,7 +30,7 @@ from .params import DispersionProfile, MeasurementModel, ModulationSetting, Trun
 
 PAIR_LABELS = (("A0", "B0"), ("A0", "B1"), ("A1", "B0"), ("A1", "B1"))
 MAX_AMPLITUDE_BOUND = X_MAX / 4.0  # 2D <= 4 * bound must stay in the Bessel domain
-MAX_RESTARTS = 10_000  # each restart is one L-BFGS-B solve of ~5 ms
+MAX_RESTARTS = 10_000  # each restart is one L-BFGS-B solve of ~1.2 ms
 # starts draw amplitudes below this even under a larger bound: the optimum's
 # amplitudes are 0.23 and 0.70, and starts far out on the Bessel tail settle in
 # local maxima (at bound 12.5, 40 of 40 seeds missed S* with starts on [0, 12.5])
@@ -103,8 +105,9 @@ def optimize_symmetric(search_interval: tuple[float, float] = (0.0, 0.5),
                        tolerance: float = 1e-6) -> tuple[float, float]:
     """Maximize S(c) = 3 J_0(4c) - J_0(12c) by bounded bracketing search.
 
-    Returns (c_star, s_star). Raises if the maximum sits on the interval
-    boundary, i.e. no interior maximum was bracketed.
+    Returns (c_star, s_star). Raises if the maximum sits within 2 * tolerance
+    of the interval boundary, i.e. no interior maximum was bracketed; so the
+    tolerance must be below (hi - lo)/4, or no c could count as interior.
     """
     from scipy.optimize import minimize_scalar
 
@@ -113,6 +116,10 @@ def optimize_symmetric(search_interval: tuple[float, float] = (0.0, 0.5),
         raise InvalidInputError("search interval must satisfy 0 <= lo < hi <= 1")
     if not 1e-6 <= tolerance < math.inf:
         raise InvalidInputError(f"tolerance must be finite and >= 1e-6, got {tolerance!r}")
+    # no c lies more than (hi - lo)/2 inside both ends, so none could pass the check below
+    if tolerance >= (hi - lo) / 4.0:
+        raise InvalidInputError(f"tolerance must be below (hi - lo)/4 = {(hi - lo) / 4.0!r} "
+                                f"on [{lo}, {hi}], got {tolerance!r}")
     res = minimize_scalar(lambda c: -symmetric_chsh(c), bounds=(lo, hi), method="bounded",
                           options={"xatol": tolerance})
     c_star = float(res.x)
@@ -166,7 +173,20 @@ def optimize_general(initial: SettingQuad,
 
     bounds = Bounds([0.0] * 4 + [-two_pi] * 4, [amplitude_bound] * 4 + [2.0 * two_pi] * 4)
     options = {"ftol": 1e-15, "gtol": 1e-11, "maxiter": 1000}
-    solves = [minimize(_neg_chsh_and_gradient, x0, jac=True, method="L-BFGS-B",
+
+    # L-BFGS-B asks for the value, then the gradient, at each point: both read one
+    # cached evaluation (jac=True's memo would compare and copy x on every request)
+    @functools.lru_cache(maxsize=1)
+    def evaluate(key: bytes):
+        return _neg_chsh_and_gradient(np.frombuffer(key))
+
+    def value(x):
+        return evaluate(x.tobytes())[0]
+
+    def gradient(x):
+        return evaluate(x.tobytes())[1]
+
+    solves = [minimize(value, x0, jac=gradient, method="L-BFGS-B",
                        bounds=bounds, options=options) for x0 in starts]
     lowest = min(res.fun for res in solves)
     best = next(res for res in solves if res.fun <= lowest + _TIE_TOLERANCE)
@@ -198,8 +218,8 @@ def _neg_chsh_and_gradient(x) -> tuple[float, np.ndarray]:
         a, b, diff = v[i], v[j], v[i + 4] - v[j + 4]
         cos_diff = math.cos(diff)
         d = math.sqrt(max(a * a + b * b + 2.0 * a * b * cos_diff, 0.0))
-        s += sign * j0(2.0 * d)
-        slope = sign * (-j1(2.0 * d) / d if d else -1.0)  # sign * dE/d(D^2)
+        s += sign * float(j0(2.0 * d))  # Python floats: same bits, cheaper arithmetic
+        slope = sign * (-float(j1(2.0 * d)) / d if d else -1.0)  # sign * dE/d(D^2)
         grad[i] += 2.0 * slope * (a + b * cos_diff)
         grad[j] += 2.0 * slope * (b + a * cos_diff)
         phase_term = 2.0 * slope * a * b * math.sin(diff)

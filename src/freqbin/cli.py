@@ -2,11 +2,15 @@
 
 Exit codes: 0 success, 2 usage error, 3 data error. Output files embed the
 resolved configuration, so identical config + seed reproduce identical bytes.
+`main` builds its argparse tree on the first call and reuses it for every
+later call in the same process; handlers look up the library functions at
+call time.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -67,6 +71,7 @@ def main(argv=None) -> int:
         return DATA_EXIT
 
 
+@functools.cache  # built on the first main call, not at import; parsing leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its values")

@@ -106,6 +106,24 @@ class TestOptimizeSymmetric:
         with pytest.raises(InvalidInputError):
             optimize_symmetric((0.0, 0.5), 1e-7)
 
+    @pytest.mark.parametrize("interval, tolerance", [((0.0, 0.5), 0.125), ((0.0, 0.5), 0.2),
+                                                     ((0.0, 0.5), 1e308), ((0.2, 0.3), 0.025)])
+    def test_tolerance_past_a_quarter_of_the_interval_rejected(self, interval, tolerance,
+                                                               monkeypatch):
+        # no c could lie more than 2 * tolerance inside both ends, so every search would
+        # end in "no interior maximum" at an interior c
+        import scipy.optimize
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("the search ran")
+        monkeypatch.setattr(scipy.optimize, "minimize_scalar", no_search)
+        with pytest.raises(InvalidInputError, match=r"below \(hi - lo\)/4"):
+            optimize_symmetric(interval, tolerance)
+
+    def test_tolerance_just_below_a_quarter_of_the_interval_searches(self):
+        c_star, _ = optimize_symmetric((0.0, 0.5), 0.1)
+        assert 0.2 < c_star < 0.3
+
 
 class TestOptimizeGeneral:
     def test_from_known_optimum_converges_to_drive_structure(self):
@@ -218,6 +236,38 @@ class TestGradientSearch:
             lowest = min(res.fun for res in solves)
             first = next(res for res in solves if res.fun <= lowest + 1e-12)
             assert quad == quad_from_vector(np.concatenate([first.x[:4], first.x[4:] - first.x[4]]))
+
+    @pytest.mark.parametrize("bound", [1.5, 3.0, 12.5])
+    def test_one_evaluation_per_point_matches_the_jac_true_solve(self, bound, monkeypatch):
+        # the value and gradient callables share one evaluation: every solve must be
+        # bitwise the solve jac=True gives, with one objective call per point
+        import scipy.optimize
+        from freqbin import bell
+        solve, objective = scipy.optimize.minimize, bell._neg_chsh_and_gradient
+        solves = []
+        evaluations = 0
+
+        def recording_solve(fun, x0, **kwargs):
+            solves.append((x0.copy(), kwargs, solve(fun, x0, **kwargs)))
+            return solves[-1][2]
+
+        def counting_objective(x):
+            nonlocal evaluations
+            evaluations += 1
+            return objective(x)
+        monkeypatch.setattr(scipy.optimize, "minimize", recording_solve)
+        monkeypatch.setattr(bell, "_neg_chsh_and_gradient", counting_objective)
+        for seed in (0, 1, 2):
+            solves.clear()
+            evaluations = 0
+            optimize_general(zero_quad(), bound, restarts=20, seed=seed)
+            assert len(solves) == 20
+            assert evaluations == sum(res.nfev for _, _, res in solves)
+            for x0, kwargs, res in solves:
+                reference = solve(objective, x0, **{**kwargs, "jac": True})
+                assert res.x.tobytes() == reference.x.tobytes()
+                assert np.float64(res.fun).tobytes() == np.float64(reference.fun).tobytes()
+                assert (res.nit, res.nfev) == (reference.nit, reference.nfev)
 
     def test_amplitude_bound_outside_bessel_domain_rejected(self):
         for bound in (math.nan, math.inf, 20.0, 12.6):

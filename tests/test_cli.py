@@ -529,6 +529,18 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("argv", [("--tolerance", "1e308"), ("--tolerance", "0.2"),
+                                      ("--interval", "0.2", "0.3", "--tolerance", "0.025")])
+    def test_tolerance_past_a_quarter_of_the_interval_is_data_error(self, argv, tmp_path, capsys):
+        # once "no interior maximum ... stopped at boundary c = 0.19098300562505255",
+        # an interior c: no c can lie 2 * tolerance inside both ends of the interval
+        out = tmp_path / "opt.json"
+        assert run_cli("chsh", "optimize", *argv, "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert "tolerance must be below (hi - lo)/4" in err
+        assert "boundary" not in err
+        assert not out.exists()
+
     def test_montecarlo_names_the_first_failing_pair(self, tmp_path, capsys):
         out = tmp_path / "mc.json"
         assert run_cli("chsh", "montecarlo", "--pair-rate", "0", "--accidental-rate", "0",
@@ -614,6 +626,29 @@ class TestExitCodes:
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_import_builds_no_parser(self):
+        code = "import freqbin.cli; print(freqbin.cli._build_parser.cache_info().currsize)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "0"
+
+    def test_one_parser_serves_every_call_in_a_process(self, tmp_path, capsys):
+        # errors and --version exit through the shared parser; a later run must not see them
+        from freqbin import cli
+        cli._build_parser.cache_clear()
+        assert run_cli("chsh", "optimize", "--restarts", "x") == 2
+        assert run_cli("chsh", "optimize", "--amplitude-bound", "20") == 3
+        assert run_cli("--version") == 0
+        out = tmp_path / "in_process.json"
+        assert run_cli("chsh", "optimize", "--general", "--seed", "7", "--out", str(out)) == 0
+        assert cli._build_parser.cache_info().misses == 1
+        fresh = tmp_path / "fresh.json"
+        result = subprocess.run([sys.executable, "-m", "freqbin.cli", "chsh", "optimize",
+                                 "--general", "--seed", "7", "--out", str(fresh)],
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert out.read_bytes() == fresh.read_bytes()
 
     def test_console_entry_point(self):
         result = subprocess.run([sys.executable, "-m", "freqbin.cli", "--version"],
