@@ -7,15 +7,16 @@ amplitude, S(c) = 3 J_0(4c) - J_0(12c); the general 8-parameter search is kept
 as a numerical check of that structure. It runs multi-start L-BFGS-B on the
 analytic gradient: with D^2 = a^2 + b^2 + 2ab cos(alpha - beta) per pair,
 dJ_0(2D)/d(D^2) = -J_1(2D)/D, and the partials of D^2 are closed-form; J_0
-and J_1 come from scipy.special. The solver gets -S and its gradient as two
-callables that share one evaluation per point. Restarts that reach the
-optimum tie to ~1e-15, so the search reports the first restart within 1e-12
-of the best, and the last bits of the objective never choose the quad.
+and J_1 come from scipy.special. Each restart drives scipy's L-BFGS-B step
+(setulb) in the loop scipy.optimize.minimize runs around it, with one
+objective evaluation per point, and so gives minimize's solve bit for bit
+without its per-call and per-point wrappers. Restarts that reach the optimum
+tie to ~1e-15, so the search reports the first restart within 1e-12 of the
+best, and the last bits of the objective never choose the quad.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -30,7 +31,7 @@ from .params import DispersionProfile, MeasurementModel, ModulationSetting, Trun
 
 PAIR_LABELS = (("A0", "B0"), ("A0", "B1"), ("A1", "B0"), ("A1", "B1"))
 MAX_AMPLITUDE_BOUND = X_MAX / 4.0  # 2D <= 4 * bound must stay in the Bessel domain
-MAX_RESTARTS = 10_000  # each restart is one L-BFGS-B solve of ~1.2 ms
+MAX_RESTARTS = 10_000  # each restart is one L-BFGS-B solve of ~0.4 ms
 # starts draw amplitudes below this even under a larger bound: the optimum's
 # amplitudes are 0.23 and 0.70, and starts far out on the Bessel tail settle in
 # local maxima (at bound 12.5, 40 of 40 seeds missed S* with starts on [0, 12.5])
@@ -41,6 +42,19 @@ _TIE_TOLERANCE = 1e-12  # restarts whose -S lie this close to the best count as 
 # correlator's (Alice, Bob) settings in order 00, 01, 10, 11; phases sit 4 further on
 _PAIR_INDICES = ((0, 2), (0, 3), (1, 2), (1, 3))
 _CHSH_SIGNS = (1.0, 1.0, 1.0, -1.0)
+
+# L-BFGS-B as scipy.optimize.minimize runs it with options ftol=1e-15, gtol=1e-11
+# and maxiter=1000 (memory, line-search steps and maxfun at scipy's defaults)
+_LBFGSB_MEMORY = 10
+_LBFGSB_MAX_LINE_SEARCH = 20
+_LBFGSB_FACTR = 1e-15 / np.finfo(float).eps
+_LBFGSB_PGTOL = 1e-11
+_LBFGSB_MAX_ITERATIONS = 1000
+_LBFGSB_MAX_EVALUATIONS = 15_000
+
+# scipy.special's j0 and j1, imported on the first evaluation: scipy.special
+# takes 0.25 s to import, so only a search loads it
+_j0 = _j1 = None
 
 
 @dataclass(frozen=True)
@@ -154,8 +168,6 @@ def optimize_general(initial: SettingQuad,
     be an integer in [1, MAX_RESTARTS] and seed an integer >= 0 (bool is
     neither).
     """
-    from scipy.optimize import Bounds, minimize
-
     check_general_search(amplitude_bound, restarts)
     if not _is_int(seed) or seed < 0:
         raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
@@ -171,32 +183,59 @@ def optimize_general(initial: SettingQuad,
         starts.append(np.concatenate([rng.uniform(0.0, start_amplitude_max, 4),
                                       rng.uniform(0.0, two_pi, 4)]))
 
-    bounds = Bounds([0.0] * 4 + [-two_pi] * 4, [amplitude_bound] * 4 + [2.0 * two_pi] * 4)
-    options = {"ftol": 1e-15, "gtol": 1e-11, "maxiter": 1000}
+    lower = np.array([0.0] * 4 + [-two_pi] * 4)
+    upper = np.array([amplitude_bound] * 4 + [2.0 * two_pi] * 4)
+    solves = [_lbfgsb_solve(x0, lower, upper) for x0 in starts]
+    lowest = min(fun for fun, _ in solves)
+    x = next(x for fun, x in solves if fun <= lowest + _TIE_TOLERANCE)
 
-    # L-BFGS-B asks for the value, then the gradient, at each point: both read one
-    # cached evaluation (jac=True's memo would compare and copy x on every request)
-    @functools.lru_cache(maxsize=1)
-    def evaluate(key: bytes):
-        return _neg_chsh_and_gradient(np.frombuffer(key))
-
-    def value(x):
-        return evaluate(x.tobytes())[0]
-
-    def gradient(x):
-        return evaluate(x.tobytes())[1]
-
-    solves = [minimize(value, x0, jac=gradient, method="L-BFGS-B",
-                       bounds=bounds, options=options) for x0 in starts]
-    lowest = min(res.fun for res in solves)
-    best = next(res for res in solves if res.fun <= lowest + _TIE_TOLERANCE)
-
-    x = best.x.copy()
-    x[4:] -= x[4]  # gauge: report with alpha_0 = 0
-    a0, a1, b0, b1, al0, al1, be0, be1 = x
+    a0, a1, b0, b1 = x[:4]
+    al0, al1, be0, be1 = x[4:] - x[4]  # gauge: report with alpha_0 = 0
     quad = SettingQuad(a0=ModulationSetting(a0, al0), a1=ModulationSetting(a1, al1),
                        b0=ModulationSetting(b0, be0), b1=ModulationSetting(b1, be1))
     return quad, chsh_ideal(quad)
+
+
+def _lbfgsb_solve(x0, lower, upper) -> tuple[float, np.ndarray]:
+    """Minimize -S from x0 in the box [lower, upper]; returns (-S, x) at the end.
+
+    This is the loop scipy.optimize.minimize(method="L-BFGS-B", jac=True) runs
+    around scipy's reverse-communication step setulb, and it gives the same
+    x, -S, iterations and evaluations bit for bit (test_bell pins that against
+    minimize): x0 clipped into the box, an iteration counted on each new
+    iterate, a stop at the iteration cap or past the evaluation cap, and -S
+    evaluated only at a point whose bytes differ from the last one evaluated,
+    as minimize's ScalarFunction skips a repeated point. setulb is a private
+    scipy entry point (this 17-argument form since scipy 1.15).
+    """
+    from scipy.optimize._lbfgsb import setulb
+
+    n, m = x0.size, _LBFGSB_MEMORY
+    x = np.clip(x0, lower, upper)
+    bounded = np.full(n, 2, np.int32)  # 2: a lower and an upper bound on each coordinate
+    f, g = 0.0, np.zeros(n)
+    work = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    int_work = np.zeros(3 * n, np.int32)
+    task, line_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
+    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
+    evaluated, iterations, evaluations = None, 0, 0
+    while True:
+        setulb(m, x, lower, upper, bounded, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL, work, int_work,
+               task, lsave, isave, dsave, _LBFGSB_MAX_LINE_SEARCH, line_task)
+        if task[0] == 3:  # evaluate -S and its gradient at x
+            point = x.tobytes()
+            if point != evaluated:
+                evaluated = point
+                f, g = _neg_chsh_and_gradient(x)
+                evaluations += 1
+        elif task[0] == 1:  # a new iterate
+            iterations += 1
+            if iterations >= _LBFGSB_MAX_ITERATIONS:
+                task[:] = 5, 504  # stop: iteration cap
+            elif evaluations > _LBFGSB_MAX_EVALUATIONS:
+                task[:] = 5, 502  # stop: evaluation cap
+        else:  # converged, stopped or abnormal line search
+            return float(f), x
 
 
 def _is_int(value) -> bool:
@@ -209,8 +248,10 @@ def _neg_chsh_and_gradient(x) -> tuple[float, np.ndarray]:
     Each pair has D^2 = a^2 + b^2 + 2ab cos(alpha - beta) and E = J_0(2D), so
     dE/d(D^2) = -J_1(2D)/D, which tends to -1 as D -> 0.
     """
-    from scipy.special import j0, j1  # 0.25 s to import, so only once a search runs
-
+    global _j0, _j1
+    if _j0 is None:
+        from scipy.special import j0 as _j0, j1 as _j1
+    j0, j1 = _j0, _j1
     v = x.tolist()
     s = 0.0
     grad = [0.0] * 8

@@ -1,6 +1,7 @@
 """CHSH evaluation and optimization, closed-form and finite-bin."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -155,14 +156,13 @@ class TestOptimizeGeneral:
             optimize_general(zero_quad(), 1.5, restarts, seed)
 
     def test_restarts_past_the_bound_rejected_before_any_solve(self, monkeypatch):
-        from freqbin.bell import MAX_RESTARTS
-        import scipy.optimize
+        from freqbin import bell
 
         def no_solve(*args, **kwargs):
             raise AssertionError("a restart ran past the bound")
-        monkeypatch.setattr(scipy.optimize, "minimize", no_solve)
-        with pytest.raises(InvalidInputError, match=f"at most {MAX_RESTARTS}"):
-            optimize_general(zero_quad(), 1.5, MAX_RESTARTS + 1, 0)
+        monkeypatch.setattr(bell, "_lbfgsb_solve", no_solve)
+        with pytest.raises(InvalidInputError, match=f"at most {bell.MAX_RESTARTS}"):
+            optimize_general(zero_quad(), 1.5, bell.MAX_RESTARTS + 1, 0)
 
     def test_numpy_integers_accepted(self):
         quad, _ = optimize_general(zero_quad(), 1.5, np.int64(1), np.int64(3))
@@ -177,6 +177,72 @@ def central_gradient(x, step=1e-6):
     return np.array([(_neg_chsh_and_gradient(x + step * e)[0]
                        - _neg_chsh_and_gradient(x - step * e)[0]) / (2 * step)
                       for e in np.eye(8)])
+
+
+# the minimize options each optimize_general solve must reproduce bit for bit
+LBFGSB_OPTIONS = {"ftol": 1e-15, "gtol": 1e-11, "maxiter": 1000}
+
+
+@dataclass(frozen=True)
+class RecordedSolve:
+    x0: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    fun: float
+    x: np.ndarray
+    iterations: int
+    evaluations: int
+    stop: tuple[int, int]  # setulb's last task: 4 converged, 5 stopped at a cap, else abnormal
+
+    @property
+    def status(self) -> int:
+        """minimize's status for this stop: 0 converged, 1 at a cap, 2 otherwise."""
+        return {4: 0, 5: 1}.get(self.stop[0], 2)
+
+
+@pytest.fixture
+def recorded_solves(monkeypatch):
+    """The list of every bell._lbfgsb_solve call from here on, as RecordedSolve.
+
+    Iterations count setulb's new-iterate requests (task 1), as minimize's
+    nit does, and evaluations count calls of the objective.
+    """
+    import scipy.optimize._lbfgsb as lbfgsb
+    from freqbin import bell
+    solve, step, objective = bell._lbfgsb_solve, lbfgsb.setulb, bell._neg_chsh_and_gradient
+    solves, current = [], {}
+
+    def counting_step(*args):
+        step(*args)
+        task = args[11]
+        current["iterations"] += int(task[0] == 1)
+        current["stop"] = (int(task[0]), int(task[1]))
+
+    def counting_objective(x):
+        current["evaluations"] += 1
+        return objective(x)
+
+    def recording_solve(x0, lower, upper):
+        current.update(iterations=0, evaluations=0)
+        fun, x = solve(x0, lower, upper)
+        solves.append(RecordedSolve(x0.copy(), lower.copy(), upper.copy(), fun, x.copy(),
+                                    current["iterations"], current["evaluations"], current["stop"]))
+        return fun, x
+    monkeypatch.setattr(lbfgsb, "setulb", counting_step)
+    monkeypatch.setattr(bell, "_neg_chsh_and_gradient", counting_objective)
+    monkeypatch.setattr(bell, "_lbfgsb_solve", recording_solve)
+    return solves
+
+
+def assert_is_the_minimize_solve(solve, options):
+    """solve must be bitwise the public scipy.optimize.minimize solve from its start."""
+    from scipy.optimize import Bounds, minimize
+    reference = minimize(_neg_chsh_and_gradient, solve.x0, jac=True, method="L-BFGS-B",
+                         bounds=Bounds(solve.lower, solve.upper), options=options)
+    assert solve.x.tobytes() == reference.x.tobytes()
+    assert np.float64(solve.fun).tobytes() == np.float64(reference.fun).tobytes()
+    assert (solve.iterations, solve.evaluations, solve.status) == \
+        (reference.nit, reference.nfev, reference.status)
 
 
 class TestGradientSearch:
@@ -218,56 +284,50 @@ class TestGradientSearch:
                 assert abs(ds[3] / ds[0] - 3.0) <= 1e-2
                 assert quad.a0.phase == 0.0
 
-    def test_reports_the_first_restart_tied_with_the_best(self, monkeypatch):
+    def test_reports_the_first_restart_tied_with_the_best(self, recorded_solves):
         # restarts that reach S* tie to ~1e-15, so ranking them by -S alone
         # would let the objective's last bits choose the reported quad
-        import scipy.optimize
-        solve = scipy.optimize.minimize
-        solves = []
-
-        def recording_solve(*args, **kwargs):
-            solves.append(solve(*args, **kwargs))
-            return solves[-1]
-        monkeypatch.setattr(scipy.optimize, "minimize", recording_solve)
         for seed in range(5):
-            solves.clear()
+            recorded_solves.clear()
             quad, _ = optimize_general(zero_quad(), 1.5, restarts=20, seed=seed)
-            assert len(solves) == 20
-            lowest = min(res.fun for res in solves)
-            first = next(res for res in solves if res.fun <= lowest + 1e-12)
+            assert len(recorded_solves) == 20
+            lowest = min(solve.fun for solve in recorded_solves)
+            first = next(solve for solve in recorded_solves if solve.fun <= lowest + 1e-12)
             assert quad == quad_from_vector(np.concatenate([first.x[:4], first.x[4:] - first.x[4]]))
 
     @pytest.mark.parametrize("bound", [1.5, 3.0, 12.5])
-    def test_one_evaluation_per_point_matches_the_jac_true_solve(self, bound, monkeypatch):
-        # the value and gradient callables share one evaluation: every solve must be
-        # bitwise the solve jac=True gives, with one objective call per point
-        import scipy.optimize
-        from freqbin import bell
-        solve, objective = scipy.optimize.minimize, bell._neg_chsh_and_gradient
-        solves = []
-        evaluations = 0
-
-        def recording_solve(fun, x0, **kwargs):
-            solves.append((x0.copy(), kwargs, solve(fun, x0, **kwargs)))
-            return solves[-1][2]
-
-        def counting_objective(x):
-            nonlocal evaluations
-            evaluations += 1
-            return objective(x)
-        monkeypatch.setattr(scipy.optimize, "minimize", recording_solve)
-        monkeypatch.setattr(bell, "_neg_chsh_and_gradient", counting_objective)
+    def test_one_evaluation_per_point_matches_the_jac_true_solve(self, bound, recorded_solves):
+        # each solve drives setulb itself: it must be bitwise the solve the public
+        # minimize(jac=True) gives, with one objective call per point (nfev)
         for seed in (0, 1, 2):
-            solves.clear()
-            evaluations = 0
+            recorded_solves.clear()
             optimize_general(zero_quad(), bound, restarts=20, seed=seed)
-            assert len(solves) == 20
-            assert evaluations == sum(res.nfev for _, _, res in solves)
-            for x0, kwargs, res in solves:
-                reference = solve(objective, x0, **{**kwargs, "jac": True})
-                assert res.x.tobytes() == reference.x.tobytes()
-                assert np.float64(res.fun).tobytes() == np.float64(reference.fun).tobytes()
-                assert (res.nit, res.nfev) == (reference.nit, reference.nfev)
+            assert len(recorded_solves) == 20
+            for solve in recorded_solves:
+                assert_is_the_minimize_solve(solve, LBFGSB_OPTIONS)
+            # start 6 of seed 2 ends in an abnormal line search above bound 1.5
+            abnormal = [solve.status == 2 for solve in recorded_solves]
+            assert abnormal == [seed == 2 and bound > 1.5 and k == 6 for k in range(20)]
+
+    def test_start_outside_the_box_gives_the_minimize_solve(self, recorded_solves):
+        # only a library caller's initial quad can start outside the box; minimize
+        # clips it into the box, and so must the solve
+        outside = SettingQuad(ModulationSetting(2.0, -7.0), ModulationSetting(0.3, 13.0),
+                              ModulationSetting(0.5, 1.0), ModulationSetting(0.7, 20.0))
+        optimize_general(outside, 1.5, restarts=1, seed=0)
+        assert_is_the_minimize_solve(recorded_solves[0], LBFGSB_OPTIONS)
+
+    @pytest.mark.parametrize("cap, option, stop", [("_LBFGSB_MAX_ITERATIONS", "maxiter", 504),
+                                                    ("_LBFGSB_MAX_EVALUATIONS", "maxfun", 502)])
+    def test_caps_stop_as_minimize_does(self, cap, option, stop, recorded_solves, monkeypatch):
+        # no seeded search reaches the caps of 1000 iterations and 15000 evaluations,
+        # so lower caps pin both stops against minimize given the same option
+        from freqbin import bell
+        monkeypatch.setattr(bell, cap, 5)
+        optimize_general(zero_quad(), 1.5, restarts=20, seed=0)
+        assert sum(solve.stop == (5, stop) for solve in recorded_solves) >= 10
+        for solve in recorded_solves:
+            assert_is_the_minimize_solve(solve, {**LBFGSB_OPTIONS, option: 5})
 
     def test_amplitude_bound_outside_bessel_domain_rejected(self):
         for bound in (math.nan, math.inf, 20.0, 12.6):

@@ -572,14 +572,13 @@ class TestExitCodes:
     ])
     def test_size_past_its_bound_is_data_error(self, argv, bound, monkeypatch, tmp_path, capsys):
         # one past the bound exits 3 before any work: each work function raises if it is reached
-        import scipy.optimize
         from freqbin import bell, cli
 
         def no_work(*args, **kwargs):
             raise AssertionError("work started past the bound")
         for module, name in ((cli, "parity_tables"), (cli, "ideal_probabilities"),
                              (cli, "simulate_counts"), (cli, "simulate_chsh_ensembles"),
-                             (scipy.optimize, "minimize")):
+                             (bell, "_lbfgsb_solve")):
             monkeypatch.setattr(module, name, no_work)
         limit = {"MAX_STEPS": cli.MAX_STEPS, "MAX_ENSEMBLES": cli.MAX_ENSEMBLES,
                  "MAX_RESTARTS": bell.MAX_RESTARTS}[bound]
