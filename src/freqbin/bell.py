@@ -18,7 +18,6 @@ best, and the last bits of the objective never choose the quad.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +26,7 @@ from .bessel import X_MAX, bessel_j
 from .binspace import parity_tables
 from .closedform import EffectiveDrive, effective_drive
 from .errors import InvalidInputError, OptimizationError
-from .params import DispersionProfile, MeasurementModel, ModulationSetting, TruncationPolicy
+from .params import DispersionProfile, MeasurementModel, ModulationSetting, TruncationPolicy, is_int
 
 PAIR_LABELS = (("A0", "B0"), ("A0", "B1"), ("A1", "B0"), ("A1", "B1"))
 MAX_AMPLITUDE_BOUND = X_MAX / 4.0  # 2D <= 4 * bound must stay in the Bessel domain
@@ -147,7 +146,7 @@ def check_general_search(amplitude_bound: float, restarts: int) -> None:
     """Raise InvalidInputError unless optimize_general accepts this bound and restart count."""
     if not 1.0 <= amplitude_bound <= MAX_AMPLITUDE_BOUND:  # also rejects nan
         raise InvalidInputError(f"amplitude_bound must lie in [1, {MAX_AMPLITUDE_BOUND}]")
-    if not _is_int(restarts) or restarts < 1:
+    if not is_int(restarts) or restarts < 1:
         raise InvalidInputError(f"restarts must be an integer >= 1, got {restarts!r}")
     if restarts > MAX_RESTARTS:
         raise InvalidInputError(f"restarts must be at most {MAX_RESTARTS}, got {restarts}")
@@ -169,7 +168,7 @@ def optimize_general(initial: SettingQuad,
     neither).
     """
     check_general_search(amplitude_bound, restarts)
-    if not _is_int(seed) or seed < 0:
+    if not is_int(seed) or seed < 0:
         raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
 
     two_pi = 2.0 * np.pi
@@ -236,10 +235,6 @@ def _lbfgsb_solve(x0, lower, upper) -> tuple[float, np.ndarray]:
                 task[:] = 5, 502  # stop: evaluation cap
         else:  # converged, stopped or abnormal line search
             return float(f), x
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _neg_chsh_and_gradient(x) -> tuple[float, np.ndarray]:

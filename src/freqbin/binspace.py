@@ -29,7 +29,9 @@ closed form: a bin-pair count on a uniform envelope, a Dirichlet kernel
 times a phase on a dispersed one. Other envelopes take C_pi from two
 correlations over the window. For S pairs over A distinct drives a call
 costs O(A P^2 + S P) time past the O(K) read of the bins, and O(K P) more
-for the correlations, instead of O(K^2 P) per setting pair. The dense
+for the correlations, instead of O(K^2 P) per setting pair. Each pair's
+four sums then go through the table model the dense path uses: ProbTable
+checks the entries and apply_crosstalk mixes them. The dense
 TwoPhotonState path, held to |bin| <= DEFAULT_BIN_BOUND, is its test oracle
 and the only path that clips to a max_window and accounts leaked norm.
 """
@@ -42,14 +44,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import _sideband_amplitudes
-from .closedform import _PROB_SLACK, ProbTable, apply_crosstalk
+from .closedform import ProbTable, apply_crosstalk
 from .errors import InvalidInputError, ProbabilitySumError, WindowBoundError
 from .params import (MAX_BINS, BinWindow, DispersionProfile, MeasurementModel, ModulationSetting,
                      TruncationPolicy)
 
 DEFAULT_BIN_BOUND = 512  # |bin| bound of the dense K x K path
 _ARMS = ("A", "B")
-_OUTCOMES = ("p_ee", "p_eo", "p_oe", "p_oo")
 _DEFAULT_POLICY = TruncationPolicy()
 
 
@@ -244,9 +245,7 @@ def parity_probabilities(state: TwoPhotonState, model: MeasurementModel | None =
     p_oe = float(intensity[np.ix_(~even_a, even_b)].sum())
     p_oo = float(intensity[np.ix_(~even_a, ~even_b)].sum())
     table = ProbTable(p_ee, p_eo, p_oe, p_oo)
-    if model is not None and model.crosstalk > 0.0:
-        table = apply_crosstalk(table, model.crosstalk)
-    return table
+    return table if model is None else apply_crosstalk(table, model.crosstalk)
 
 
 def parity_tables(bins_a,
@@ -318,28 +317,23 @@ def parity_tables(bins_a,
     values = (m[:, 0] + m[:, 1, ::-1, ::-1]).reshape(-1, 4)
 
     tol = policy.epsilon * policy.epsilon
-    for (row_a, row_b), (ee, eo, oe, oo) in zip(pair_rows, values.tolist()):
-        for name, p in zip(_OUTCOMES, (ee, eo, oe, oo)):
-            if not -_PROB_SLACK <= p <= 1.0 + _PROB_SLACK:
-                raise InvalidInputError(f"{name} = {p!r} is not a probability")
-        total = ee + eo + oe + oo
+    tables = []
+    for (row_a, row_b), table_values in zip(pair_rows, values.tolist()):
+        table = ProbTable(*table_values)
         # Each kernel u keeps all but t <= epsilon**2 of its squared norm, and
         # |sum_p u(p) e^{ip theta}| <= sum_p |u(p)|. The correlated state's
         # sideband phases are uniform on each arm, so by Cauchy-Schwarz the
         # total is 1 - t_A - t_B + X with |X| <= epsilon**2 (1 + l1_A)(1 + l1_B).
         spread = tol * (1.0 + l1[row_a]) * (1.0 + l1[row_b])
         low, high = 1.0 - 2.0 * tol - spread - 1e-12, 1.0 + spread + 1e-12
-        if not low <= total <= high:
+        if not low <= table.total <= high:
             raise ProbabilitySumError(
-                f"parity table sums to {total!r}, outside [{low!r}, {high!r}] "
+                f"parity table sums to {table.total!r}, outside [{low!r}, {high!r}] "
                 f"for truncation epsilon {policy.epsilon!r}")
-    if model is not None and model.crosstalk > 0.0:
-        # apply_crosstalk on every table at once: each photon's parity label
-        # flips independently with probability x
-        x = model.crosstalk
-        flip = np.array([[1.0 - x, x], [x, 1.0 - x]])
-        values = values @ (flip[:, None, :, None] * flip[None, :, None, :]).reshape(4, 4)
-    return [ProbTable(*table_values) for table_values in values.tolist()]
+        tables.append(table)
+    if model is not None:
+        tables = [apply_crosstalk(table, model.crosstalk) for table in tables]
+    return tables
 
 
 def _parity_grams(bessel: np.ndarray, reach: int) -> np.ndarray:

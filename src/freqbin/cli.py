@@ -22,7 +22,7 @@ from . import __version__
 from .bell import (PAIR_LABELS, SettingQuad, check_general_search, chsh_finite, chsh_ideal,
                    optimize_general, optimize_symmetric)
 from .binspace import parity_tables
-from .closedform import apply_crosstalk, effective_drive, ideal_probabilities
+from .closedform import PROB_NAMES, apply_crosstalk, effective_drive, ideal_probabilities
 from .config import RunConfig, load_config, parse_bins
 from .counts import (DEFAULT_BACKGROUND_WINDOW, DEFAULT_PEAK_WINDOW, chsh_estimate,
                      correlator_estimate, emit_histogram, extract_counts, ingest_histogram,
@@ -265,9 +265,8 @@ def _cmd_pattern(args, config: RunConfig) -> int:
         payload["results"].update((name, [list(row) for row in rows])
                                   for name, rows in curves.items())
     else:
-        names = ("p_ee", "p_eo", "p_oe", "p_oo")
         lines.append(",".join(["alpha"] + [f"{n}_{name}" if len(curves) == 2 else n
-                                           for name in curves for n in names]))
+                                           for name in curves for n in PROB_NAMES]))
         for alpha, *rows in zip(alphas, *curves.values()):
             lines.append(",".join([_fmt(alpha)] + [_fmt(v) for row in rows for v in row]))
     _emit_report(out, out_format, payload, lines)

@@ -32,6 +32,7 @@ from .errors import InvalidInputError
 from .params import ModulationSetting, canonical_phase
 
 _PROB_SLACK = 1e-9
+PROB_NAMES = ("p_ee", "p_eo", "p_oe", "p_oo")  # ProbTable's entries, in order
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ class ProbTable:
     p_oo: float
 
     def __post_init__(self):
-        for name, p in zip(("p_ee", "p_eo", "p_oe", "p_oo"), self.as_tuple()):
+        for name, p in zip(PROB_NAMES, self.as_tuple()):
             if not -_PROB_SLACK <= p <= 1.0 + _PROB_SLACK:
                 raise InvalidInputError(f"{name} = {p!r} is not a probability")
 

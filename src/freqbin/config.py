@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
-from .params import MAX_BINS, DispersionProfile, MeasurementModel, TruncationPolicy
+from .params import MAX_BINS, DispersionProfile, MeasurementModel, TruncationPolicy, is_int
 
 
 @dataclass(frozen=True)
@@ -63,23 +63,36 @@ class RunConfig:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
         try:
             disp = data.get("dispersion", {})
-            overrides = {int(k): float(v) for k, v in (disp.get("per_bin_overrides") or {}).items()}
+            overrides = {int(k): float(_number(f"dispersion.per_bin_overrides[{k!r}]", v))
+                         for k, v in (disp.get("per_bin_overrides") or {}).items()}
+            measurement = {key: _number(f"measurement.{key}", value)
+                           for key, value in data.get("measurement", {}).items()}
             return cls(
-                rf_frequency=float(data.get("rf_frequency", base.rf_frequency)),
-                center_frequency=float(data.get("center_frequency", base.center_frequency)),
-                bins=tuple(int(b) for b in data.get("bins", base.bins)),
+                rf_frequency=float(_number("rf_frequency", data.get("rf_frequency", base.rf_frequency))),
+                center_frequency=float(_number("center_frequency", data.get("center_frequency",
+                                                                            base.center_frequency))),
+                bins=tuple(_number("each bin", b, integer=True) for b in data.get("bins", base.bins)),
                 truncation=TruncationPolicy(**data.get("truncation", {})),
-                measurement=MeasurementModel(**data.get("measurement", {})),
+                measurement=MeasurementModel(**measurement),
                 dispersion=DispersionProfile(
-                    quadratic_coefficient=float(disp.get("quadratic_coefficient", 0.0)),
+                    quadratic_coefficient=float(_number("dispersion.quadratic_coefficient",
+                                                        disp.get("quadratic_coefficient", 0.0))),
                     per_bin_overrides=overrides or None,
                 ),
-                seed=int(data.get("seed", base.seed)),
+                seed=_number("seed", data.get("seed", base.seed), integer=True),
             )
         except InvalidInputError:
             raise
         except (AttributeError, OverflowError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"bad config value: {exc}") from None
+
+
+def _number(name: str, value, integer: bool = False):
+    """value itself if a JSON integer or, unless integer, a JSON float; bool and str are neither."""
+    if not (is_int(value) or not integer and isinstance(value, float)):
+        kind = "an integer" if integer else "a number"
+        raise InvalidInputError(f"bad config value: {name} must be {kind}, got {value!r}")
+    return value
 
 
 def load_config(path) -> RunConfig:

@@ -126,15 +126,15 @@ class Histogram:
             raise InvalidInputError("bin_width_s must be positive")
         if not self.counts:
             raise InvalidInputError("histogram needs at least one channel pair")
-        lengths = set()
+        counts = {}  # the histogram's own mapping: the caller's dict is left as it was
         for pair, arr in self.counts.items():
             if pair not in OUTCOMES:
                 raise InvalidInputError(f"unknown channel pair {pair!r}")
-            arr = np.asarray(arr, dtype=np.int64)
+            arr = counts[pair] = np.asarray(arr, dtype=np.int64)
             if np.any(arr < 0):
                 raise InvalidInputError("histogram counts must be >= 0")
-            self.counts[pair] = arr
-            lengths.add(arr.size)
+        self.counts = counts
+        lengths = {arr.size for arr in counts.values()}
         if len(lengths) != 1 or lengths == {0}:
             raise InvalidInputError("channel-pair arrays must share one nonzero length")
 

@@ -15,6 +15,11 @@ MAX_ORDER_CAP = 1000  # largest max_order: a cap error may take a Miller pass ov
 MAX_BINS = 1_000_000  # widest bin window: parse_bins' ranges and the banded parity engine
 
 
+def is_int(value) -> bool:
+    """True for an integer that is not a bool, such as a JSON integer."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def canonical_phase(phase: float) -> float:
     """Reduce an angle into [0, 2*pi)."""
     if not math.isfinite(phase):
@@ -35,7 +40,7 @@ class TruncationPolicy:
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise InvalidInputError(f"epsilon must lie in (0, 1), got {self.epsilon!r}")
-        if isinstance(self.max_order, bool) or not isinstance(self.max_order, numbers.Integral):
+        if not is_int(self.max_order):
             raise InvalidInputError(f"max_order must be an integer, got {self.max_order!r}")
         if not 1 <= self.max_order <= MAX_ORDER_CAP:
             raise InvalidInputError(f"max_order must lie in [1, {MAX_ORDER_CAP}]")

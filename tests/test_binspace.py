@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freqbin import (BinWindow, DispersionProfile, InvalidInputError, MeasurementModel,
-                     ModulationSetting, ProbabilitySumError, TruncationPolicy, TwoPhotonState,
-                     WindowBoundError, apply_dispersion, apply_modulator, bessel_j,
-                     chsh_finite, chsh_ideal, chsh_optimal_quad, correlated_state, effective_drive,
-                     ideal_probabilities, modulation_kernel, parity_probabilities, parity_tables)
+                     ModulationSetting, ProbabilitySumError, ProbTable, TruncationPolicy,
+                     TwoPhotonState, WindowBoundError, apply_crosstalk, apply_dispersion,
+                     apply_modulator, bessel_j, chsh_finite, chsh_ideal, chsh_optimal_quad,
+                     correlated_state, effective_drive, ideal_probabilities, modulation_kernel,
+                     parity_probabilities, parity_tables)
 from freqbin import binspace
 from freqbin.params import MAX_BINS
 
@@ -418,6 +419,37 @@ class TestParityTables:
         with pytest.raises(ProbabilitySumError):
             parity_tables(range(1, 7), chsh_optimal_quad().pairs())
 
+    def test_entry_check_is_prob_tables_and_runs_pair_by_pair(self, monkeypatch):
+        # Scaling a drive's Bessel row by 2 scales its Gram rows, and so every
+        # table using it, by exactly 4; by 1/2, exactly 1/4. Pair 1 then has
+        # entries past 1 and a total of 4, pair 2 entries past 1 again.
+        drives = [ModulationSetting(0.3 * (k + 1), 0.4 * k) for k in range(6)]
+        pairs = [(drives[0], drives[1]), (drives[2], drives[3]), (drives[4], drives[5])]
+        bins = range(-20, 21)
+        plain = parity_tables(bins, pairs)
+        build = binspace._bessel_rows
+
+        def faulty(scales):
+            monkeypatch.setattr(binspace, "_bessel_rows",
+                                lambda amplitudes: build(amplitudes) * np.array(scales)[:, None])
+            return pytest.raises((InvalidInputError, ProbabilitySumError))
+
+        def prob_table_error(values):
+            with pytest.raises(InvalidInputError) as error:
+                ProbTable(*values)
+            return str(error.value)
+
+        # the entry check fires before pair 1's sum check and before pair 2
+        with faulty([1, 1, 2, 1, 4, 4]) as got:
+            parity_tables(bins, pairs)
+        assert got.type is InvalidInputError
+        assert str(got.value) == prob_table_error([4.0 * p for p in plain[1].as_tuple()])
+        # a sum fault on an earlier pair fires before a later pair's entry fault
+        with faulty([1, 1, 0.5, 1, 4, 4]) as got:
+            parity_tables(bins, pairs)
+        assert got.type is ProbabilitySumError
+        assert f"sums to {0.25 * plain[1].total!r}," in str(got.value)
+
     def test_bins_past_int64_are_a_window_bound_error(self):
         pair = [(ModulationSetting(0.5, 0.0), ModulationSetting(0.5, 1.0))]
         for bins in ([2**63], range(2**63 - 1, 2**63 + 1), [-2**63 - 1, 0]):
@@ -662,6 +694,20 @@ class TestParityTablesProperty:
         for got, want in zip(banded, dense):
             for g, w in zip(got.as_tuple(), want.as_tuple()):
                 assert abs(g - w) <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_crosstalk_is_apply_crosstalk_bit_for_bit(self, data):
+        bins = data.draw(bin_sets(), label="bins")
+        setting = st.builds(ModulationSetting, st.floats(0.0, 1.5), st.floats(0.0, 2 * math.pi))
+        pairs = data.draw(st.lists(st.tuples(setting, setting), min_size=1, max_size=6), label="pairs")
+        quadratic = data.draw(st.floats(-0.01, 0.01), label="quadratic")
+        crosstalk = data.draw(st.floats(0.0, 0.5), label="crosstalk")
+        dispersion = DispersionProfile(quadratic)
+        # the banded engine mixes with apply_crosstalk itself, as the dense oracle does
+        mixed = parity_tables(bins, pairs, MeasurementModel(crosstalk=crosstalk), dispersion)
+        plain = parity_tables(bins, pairs, None, dispersion)
+        assert mixed == [apply_crosstalk(table, crosstalk) for table in plain]
 
 
 class TestPhaseState:

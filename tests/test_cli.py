@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -20,6 +21,7 @@ from freqbin.errors import InvalidInputError
 
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+README = Path(__file__).parents[1] / "README.md"
 
 
 def run_cli(*argv):
@@ -79,6 +81,33 @@ class TestConfig:
             assert "max_order" in capsys.readouterr().err
         assert run_cli("chsh", "finite", "--max-order", "5000") == 3
         assert "max_order" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data", [
+        {"seed": 1.7}, {"seed": True}, {"seed": "12"},
+        {"bins": [1.5, 2, 3]}, {"bins": [1, True]}, {"bins": ["1", "2"]}, {"bins": "123"},
+        {"rf_frequency": "25e9"}, {"rf_frequency": True}, {"center_frequency": False},
+        {"dispersion": {"quadratic_coefficient": "0.1"}},
+        {"bins": [-2, -1, 0, 1, 2], "dispersion": {"per_bin_overrides": {"2": True}}},
+        {"measurement": {"efficiency": True}},
+    ])
+    def test_value_of_the_wrong_type_is_data_error(self, data, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(data))
+        assert run_cli("chsh", "eval", "--config", str(path), "--out", str(tmp_path / "eval.json")) == 3
+        assert "must be" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_integers_still_stand_for_floats(self, tmp_path, capsys):
+        records = []
+        for rf_frequency, coefficient in ((25_000_000_000, 0), (25e9, 0.0)):
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"rf_frequency": rf_frequency,
+                                        "dispersion": {"quadratic_coefficient": coefficient}}))
+            out = tmp_path / "finite.json"
+            assert run_cli("chsh", "finite", "--config", str(path), "--out", str(out)) == 0
+            records.append(out.read_bytes())
+        capsys.readouterr()
+        assert records[0] == records[1]
 
     @settings(max_examples=100, deadline=None)
     @given(st.dictionaries(st.sampled_from(CONFIG_KEYS), JSON_VALUES | CONFIG_SECTIONS, max_size=4))
@@ -460,6 +489,25 @@ class TestSimulateAnalyze:
         assert any(line.startswith("S,") for line in lines)
         sibling = json.loads((tmp_path / "analysis.csv.run.json").read_text())
         assert sibling["command"] == "analyze"
+
+
+def readme_commands():
+    """The freqbin lines of README.md's "Command line" block, continuation lines joined."""
+    block = README.read_text(encoding="utf-8").split("## Command line", 1)[1].split("```")[1]
+    return [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("freqbin ")]
+
+
+class TestReadme:
+    def test_command_line_block_runs(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        commands = readme_commands()
+        assert len(commands) == 8
+        for command in commands:
+            if "scan*.csv" in command:
+                continue  # needs phase-scan histogram files that no other example writes
+            assert main(shlex.split(command, comments=True)[1:]) == 0, command
+        capsys.readouterr()
+        assert (tmp_path / "analysis.json").is_file()
 
 
 class TestExitCodes:

@@ -197,6 +197,13 @@ class TestHistogramFormat:
         assert histogram.start_index == -1
         assert list(histogram.counts["EE"]) == [3, 11, 4, 0]
 
+    def test_leaves_the_callers_dict_alone(self):
+        counts = {"EE": [1, 2, 3]}
+        histogram = Histogram(bin_width_s=1e-9, start_index=0, counts=counts)
+        assert isinstance(counts["EE"], list) and counts["EE"] == [1, 2, 3]
+        assert histogram.counts is not counts
+        assert histogram.counts["EE"].dtype == np.int64
+
     def test_bytes_and_stream_sources(self):
         from_bytes = ingest_histogram(self.MINIMAL.encode())
         from_stream = ingest_histogram(io.StringIO(self.MINIMAL))
