@@ -4,7 +4,9 @@ A two-photon state is a dense complex amplitude table over a rectangular
 window of bin-index pairs (m, n). A phase modulator on one arm convolves the
 table along that axis with the sideband kernel J_p(c) e^{i p (gamma - pi/2)};
 probability shifted outside a caller-supplied window is tracked in
-leaked_norm instead of being renormalized away.
+leaked_norm instead of being renormalized away. Each dense operation has one
+body, written for arm A: arm B runs as arm A of the swapped state (windows
+exchanged, table transposed), and the result is swapped back.
 
 The CHSH and pattern pipelines need only the four even/odd sums of the
 modulated correlated state sum_n f(n) |n>|-n>, and parity_tables computes
@@ -84,10 +86,6 @@ class TwoPhotonState:
     def amplitude(self, m: int, n: int) -> complex:
         return complex(self.amplitudes[self.window_a.index(m), self.window_b.index(n)])
 
-    def window(self, arm: str) -> BinWindow:
-        _check_arm(arm)
-        return self.window_a if arm == "A" else self.window_b
-
 
 def _check_arm(arm: str) -> None:
     if arm not in _ARMS:
@@ -166,7 +164,8 @@ def apply_modulator(state: TwoPhotonState,
     _check_arm(arm)
     offsets, weights = modulation_kernel(setting, policy)
     p_max = int(offsets[-1])
-    win = state.window(arm)
+    state = _as_arm_a(state, arm)
+    win = state.window_a
     wide = BinWindow(win.min_bin - p_max, win.max_bin + p_max)
     out_win = wide if max_window is None else _intersect(wide, max_window)
     if out_win is None:
@@ -174,29 +173,29 @@ def apply_modulator(state: TwoPhotonState,
     _check_bin_bound(out_win, bin_bound)
 
     old = state.amplitudes
-    if arm == "A":
-        full = np.zeros((wide.width, old.shape[1]), dtype=complex)
-        for k, w in enumerate(weights):
-            full[k:k + old.shape[0], :] += w * old
-    else:
-        full = np.zeros((old.shape[0], wide.width), dtype=complex)
-        for k, w in enumerate(weights):
-            full[:, k:k + old.shape[1]] += w * old
+    full = np.zeros((wide.width, old.shape[1]), dtype=complex)
+    for k, w in enumerate(weights):
+        full[k:k + old.shape[0]] += w * old
 
     leaked = state.leaked_norm
     if out_win != wide:
         lo = out_win.min_bin - wide.min_bin
         hi = lo + out_win.width
-        if arm == "A":
-            leaked += float(np.sum(np.abs(full[:lo, :]) ** 2) + np.sum(np.abs(full[hi:, :]) ** 2))
-            full = full[lo:hi, :]
-        else:
-            leaked += float(np.sum(np.abs(full[:, :lo]) ** 2) + np.sum(np.abs(full[:, hi:]) ** 2))
-            full = full[:, lo:hi]
+        leaked += float(np.sum(np.abs(full[:lo]) ** 2) + np.sum(np.abs(full[hi:]) ** 2))
+        full = full[lo:hi]
+    return _as_arm_a(TwoPhotonState(out_win, state.window_b, full, leaked), arm)
 
+
+def _as_arm_a(state: TwoPhotonState, arm: str) -> TwoPhotonState:
+    """The state with the given arm on axis 0; its own inverse.
+
+    Arm B swaps the windows and transposes the table into a C-ordered copy,
+    so each operation has one body, written for arm A.
+    """
     if arm == "A":
-        return TwoPhotonState(out_win, state.window_b, full, leaked)
-    return TwoPhotonState(state.window_a, out_win, full, leaked)
+        return state
+    return TwoPhotonState(state.window_b, state.window_a,
+                          np.ascontiguousarray(state.amplitudes.T), state.leaked_norm)
 
 
 def _check_bin_bound(window: BinWindow, bin_bound: int) -> None:
@@ -214,14 +213,11 @@ def _intersect(w1: BinWindow, w2: BinWindow) -> BinWindow | None:
 def apply_dispersion(state: TwoPhotonState, profile: DispersionProfile, arm: str) -> TwoPhotonState:
     """Multiply the chosen arm's bin n amplitudes by e^{i phi(n)}; norm unchanged."""
     _check_arm(arm)
-    win = state.window(arm)
-    _check_overrides(profile, win, arm)
-    factors = np.exp(1j * profile.phases(win.bins()))
-    if arm == "A":
-        amp = state.amplitudes * factors[:, None]
-    else:
-        amp = state.amplitudes * factors[None, :]
-    return TwoPhotonState(state.window_a, state.window_b, amp, state.leaked_norm)
+    state = _as_arm_a(state, arm)
+    _check_overrides(profile, state.window_a, arm)
+    factors = np.exp(1j * profile.phases(state.window_a.bins()))
+    return _as_arm_a(TwoPhotonState(state.window_a, state.window_b,
+                                    state.amplitudes * factors[:, None], state.leaked_norm), arm)
 
 
 def _check_overrides(profile: DispersionProfile, win: BinWindow, arm: str) -> None:
@@ -238,13 +234,10 @@ def parity_probabilities(state: TwoPhotonState, model: MeasurementModel | None =
     parity label independently with probability model.crosstalk.
     """
     intensity = np.abs(state.amplitudes) ** 2
-    even_a = np.fromiter((n % 2 == 0 for n in state.window_a.bins()), dtype=bool)
-    even_b = np.fromiter((n % 2 == 0 for n in state.window_b.bins()), dtype=bool)
-    p_ee = float(intensity[np.ix_(even_a, even_b)].sum())
-    p_eo = float(intensity[np.ix_(even_a, ~even_b)].sum())
-    p_oe = float(intensity[np.ix_(~even_a, even_b)].sum())
-    p_oo = float(intensity[np.ix_(~even_a, ~even_b)].sum())
-    table = ProbTable(p_ee, p_eo, p_oe, p_oo)
+    even_a, even_b = (np.arange(w.min_bin, w.max_bin + 1) % 2 == 0
+                      for w in (state.window_a, state.window_b))
+    table = ProbTable(*(float(intensity[np.ix_(rows, cols)].sum())
+                        for rows in (even_a, ~even_a) for cols in (even_b, ~even_b)))
     return table if model is None else apply_crosstalk(table, model.crosstalk)
 
 

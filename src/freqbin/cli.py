@@ -28,7 +28,7 @@ from .counts import (DEFAULT_BACKGROUND_WINDOW, DEFAULT_PEAK_WINDOW, chsh_estima
                      correlator_estimate, emit_histogram, extract_counts, ingest_histogram,
                      simulate_chsh_ensembles, simulate_counts, synthesize_histogram, visibility)
 from .errors import FreqbinError, InvalidInputError
-from .params import ModulationSetting
+from .params import ModulationSetting, strict_int
 
 USAGE_EXIT = 2
 DATA_EXIT = 3
@@ -40,7 +40,7 @@ _CONFIG_FLAGS = (
     ("--rf-frequency", None, "rf_frequency", float, None),
     ("--center-frequency", None, "center_frequency", float, None),
     ("--epsilon", "truncation", "epsilon", float, "truncation amplitude tolerance"),
-    ("--max-order", "truncation", "max_order", int, "truncation hard cap"),
+    ("--max-order", "truncation", "max_order", strict_int, "truncation hard cap"),
     ("--crosstalk", "measurement", "crosstalk", float, None),
     ("--efficiency", "measurement", "efficiency", float, None),
     ("--pair-rate", "measurement", "pair_rate", float, None),
@@ -75,7 +75,7 @@ def main(argv=None) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its values")
-    common.add_argument("--seed", type=int)
+    common.add_argument("--seed", type=strict_int)
     common.add_argument("--out", help="output file (or directory for simulate)")
     common.add_argument("--format", choices=("csv", "json"), dest="out_format")
     common.add_argument("--bins", help="bin list '1,2,3' or range '1..6'")
@@ -104,7 +104,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, default=0.0)
     p.add_argument("--alpha-start", type=float, default=0.0)
     p.add_argument("--alpha-stop", type=float, default=2.0 * math.pi)
-    p.add_argument("--steps", type=int, default=25, help="number of sweep points (>= 2)")
+    p.add_argument("--steps", type=strict_int, default=25, help="number of sweep points (>= 2)")
     p.add_argument("--pattern-model", choices=("ideal", "finite", "both"), default="ideal")
     p.set_defaults(handler=_cmd_pattern)
 
@@ -120,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--interval", type=float, nargs=2, default=(0.0, 0.5), metavar=("LO", "HI"))
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--general", action="store_true", help="also run the 8-parameter search")
-    p.add_argument("--restarts", type=int, default=20)
+    p.add_argument("--restarts", type=strict_int, default=20)
     p.add_argument("--amplitude-bound", type=float, default=1.5)
     p.set_defaults(handler=_cmd_chsh_optimize)
 
@@ -130,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = chsh_sub.add_parser("montecarlo", parents=[common, settings],
                             help="seeded ensemble of synthetic CHSH estimates")
-    p.add_argument("--ensembles", type=int, default=500)
+    p.add_argument("--ensembles", type=strict_int, default=500)
     p.set_defaults(handler=_cmd_chsh_montecarlo)
 
     p = sub.add_parser("simulate", parents=[common, settings],
@@ -234,8 +234,6 @@ def _cmd_pattern(args, config: RunConfig) -> int:
         raise InvalidInputError(f"--steps must be at most {MAX_STEPS}, got {args.steps}")
     if not args.alpha_stop > args.alpha_start:
         raise _UsageError("--alpha-stop must exceed --alpha-start")
-    if args.a < 0 or args.b < 0:
-        raise _UsageError("amplitudes must be >= 0")
 
     alphas = [args.alpha_start + k * (args.alpha_stop - args.alpha_start) / (args.steps - 1)
               for k in range(args.steps)]

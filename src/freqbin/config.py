@@ -12,7 +12,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
-from .params import MAX_BINS, DispersionProfile, MeasurementModel, TruncationPolicy, is_int
+from .params import (MAX_BINS, DispersionProfile, MeasurementModel, TruncationPolicy, is_int,
+                     strict_int)
 
 
 @dataclass(frozen=True)
@@ -63,7 +64,7 @@ class RunConfig:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
         try:
             disp = data.get("dispersion", {})
-            overrides = {int(k): float(_number(f"dispersion.per_bin_overrides[{k!r}]", v))
+            overrides = {strict_int(k): float(_number(f"dispersion.per_bin_overrides[{k!r}]", v))
                          for k, v in (disp.get("per_bin_overrides") or {}).items()}
             measurement = {key: _number(f"measurement.{key}", value)
                            for key, value in data.get("measurement", {}).items()}
@@ -107,12 +108,11 @@ def load_config(path) -> RunConfig:
 
 
 def parse_bins(text: str) -> tuple[int, ...]:
-    """Bin list from '1,2,3' or an inclusive range 'lo..hi' of at most MAX_BINS bins."""
-    text = text.strip()
+    """Bin list from '1,2,3' or an inclusive range 'lo..hi' of at most MAX_BINS bins, read by strict_int."""
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
         try:
-            lo, hi = int(lo_text), int(hi_text)
+            lo, hi = strict_int(lo_text), strict_int(hi_text)
         except ValueError:
             raise InvalidInputError(f"bad bin range {text!r}") from None
         if hi < lo:
@@ -121,6 +121,6 @@ def parse_bins(text: str) -> tuple[int, ...]:
             raise InvalidInputError(f"bin range {text!r} has {hi - lo + 1} bins; at most {MAX_BINS} allowed")
         return tuple(range(lo, hi + 1))
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(strict_int(part) for part in text.split(","))
     except ValueError:
         raise InvalidInputError(f"bad bin list {text!r}") from None

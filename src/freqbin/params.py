@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +19,16 @@ MAX_BINS = 1_000_000  # widest bin window: parse_bins' ranges and the banded par
 def is_int(value) -> bool:
     """True for an integer that is not a bool, such as a JSON integer."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def strict_int(text: str) -> int:
+    """int(text) for ASCII digits with an optional leading '-' and ASCII spaces around them.
+
+    int() alone also takes '+', '_' separators and non-ASCII digits; here they raise its ValueError.
+    """
+    if not re.fullmatch(r" *-?[0-9]+ *", text):
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
 
 
 def canonical_phase(phase: float) -> float:

@@ -34,6 +34,28 @@ def phase_state(varphi, window):
     return np.exp(1j * n * varphi) / math.sqrt(2.0 * math.pi)
 
 
+def random_state(rng):
+    """A random complex table over random windows, with some leaked norm."""
+    lo_a, lo_b = (int(v) for v in rng.integers(-6, 6, size=2))
+    width_a, width_b = (int(v) for v in rng.integers(1, 7, size=2))
+    amp = rng.normal(size=(width_a, width_b)) + 1j * rng.normal(size=(width_a, width_b))
+    return TwoPhotonState(BinWindow(lo_a, lo_a + width_a - 1), BinWindow(lo_b, lo_b + width_b - 1),
+                          amp, float(rng.uniform(0, 0.1)))
+
+
+def transposed(state):
+    """The state with Alice and Bob exchanged, built directly from its fields."""
+    return TwoPhotonState(state.window_b, state.window_a, state.amplitudes.T.copy(),
+                          state.leaked_norm)
+
+
+def assert_same_state(got, expected):
+    """Windows, amplitudes and leaked norm bitwise equal."""
+    assert (got.window_a, got.window_b) == (expected.window_a, expected.window_b)
+    assert np.array_equal(got.amplitudes.view(np.float64), expected.amplitudes.view(np.float64))
+    assert got.leaked_norm == expected.leaked_norm
+
+
 def product_state(m, n):
     return TwoPhotonState(BinWindow(m, m), BinWindow(n, n),
                           np.ones((1, 1), dtype=complex))
@@ -121,13 +143,15 @@ class TestApplyModulator:
         out = apply_modulator(state, "B", ModulationSetting(1.2, 0.3))
         assert abs(out.norm + out.leaked_norm - 1.0) <= 1e-10
 
-    def test_clipping_accumulates_leaked_norm(self):
+    @pytest.mark.parametrize("arm", ["A", "B"])
+    def test_clipping_accumulates_leaked_norm(self, arm):
         state = correlated_state(range(-3, 4))
-        out = apply_modulator(state, "A", ModulationSetting(1.2, 0.0),
+        out = apply_modulator(state, arm, ModulationSetting(1.2, 0.0),
                               max_window=BinWindow(-4, 4))
         assert out.leaked_norm > 0.0
         assert abs(out.norm + out.leaked_norm - 1.0) <= 1e-10
-        assert out.window_a == BinWindow(-4, 4)
+        clipped, other = (out.window_a, out.window_b) if arm == "A" else (out.window_b, out.window_a)
+        assert clipped == BinWindow(-4, 4) and other == BinWindow(-3, 3)
 
     def test_window_bound_error(self):
         state = correlated_state(range(-3, 4))
@@ -146,6 +170,21 @@ class TestApplyModulator:
         ba = apply_modulator(apply_modulator(state, "B", sb), "A", sa)
         assert ab.window_a == ba.window_a and ab.window_b == ba.window_b
         assert np.max(np.abs(ab.amplitudes - ba.amplitudes)) <= 1e-12
+
+    @pytest.mark.parametrize("clip", [False, True])
+    def test_arm_b_is_arm_a_of_the_transposed_state_bitwise(self, clip):
+        rng = np.random.default_rng(7 + clip)
+        for _ in range(40):
+            state = random_state(rng)
+            setting = ModulationSetting(float(rng.uniform(0, 1.5)),
+                                        float(rng.uniform(0, 2 * math.pi)))
+            kwargs = {}
+            if clip:
+                lo = int(rng.integers(state.window_b.min_bin - 2, state.window_b.max_bin + 1))
+                kwargs["max_window"] = BinWindow(lo, int(rng.integers(lo, lo + 6)))
+            on_b = apply_modulator(state, "B", setting, **kwargs)
+            on_a = transposed(apply_modulator(transposed(state), "A", setting, **kwargs))
+            assert_same_state(on_b, on_a)
 
     def test_composition_of_equal_phase_modulations(self):
         state = correlated_state(range(-2, 3))
@@ -201,6 +240,23 @@ class TestApplyDispersion:
         state = correlated_state(range(1, 7))
         with pytest.raises(InvalidInputError):
             apply_dispersion(state, DispersionProfile(per_bin_overrides={9: 0.1}), "A")
+        with pytest.raises(InvalidInputError, match=r"outside arm B window: \[2\]"):
+            apply_dispersion(state, DispersionProfile(per_bin_overrides={2: 0.1}), "B")
+
+    def test_bad_arm_rejected(self):
+        with pytest.raises(InvalidInputError, match="arm must be 'A' or 'B', got 'C'"):
+            apply_dispersion(correlated_state([0]), DispersionProfile(), "C")
+
+    def test_arm_b_is_arm_a_of_the_transposed_state_bitwise(self):
+        rng = np.random.default_rng(11)
+        for _ in range(40):
+            state = random_state(rng)
+            override = int(rng.integers(state.window_b.min_bin, state.window_b.max_bin + 1))
+            profile = DispersionProfile(quadratic_coefficient=float(rng.uniform(-0.5, 0.5)),
+                                        per_bin_overrides={override: float(rng.uniform(-3, 3))})
+            on_b = apply_dispersion(state, profile, "B")
+            on_a = transposed(apply_dispersion(transposed(state), profile, "A"))
+            assert_same_state(on_b, on_a)
 
     def test_quadratic_dispersion_degrades_visibility(self):
         def min_cross_probability(profile):

@@ -88,7 +88,7 @@ class TestConfig:
         {"rf_frequency": "25e9"}, {"rf_frequency": True}, {"center_frequency": False},
         {"dispersion": {"quadratic_coefficient": "0.1"}},
         {"bins": [-2, -1, 0, 1, 2], "dispersion": {"per_bin_overrides": {"2": True}}},
-        {"measurement": {"efficiency": True}},
+        {"measurement": {"efficiency": True}}, {"bins": []},
     ])
     def test_value_of_the_wrong_type_is_data_error(self, data, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -122,8 +122,48 @@ class TestConfig:
         assert parse_bins("1,2,3") == (1, 2, 3)
         assert parse_bins("1..6") == (1, 2, 3, 4, 5, 6)
         assert parse_bins("-2..2") == (-2, -1, 0, 1, 2)
+        assert parse_bins(" 1, 2 ,3 ") == (1, 2, 3)
+        assert parse_bins("-2 .. 0") == (-2, -1, 0)
         with pytest.raises(InvalidInputError):
             parse_bins("1,x")
+
+    @pytest.mark.parametrize("text, message", [
+        ("1_0,2", "bad bin list"), ("+1,2", "bad bin list"), ("\uff11,\uff12", "bad bin list"),
+        ("1,\t2", "bad bin list"), ("\u0661..\u0663", "bad bin range"), ("1.._3", "bad bin range"),
+        ("+1..3", "bad bin range"), ("1..3\u00a0", "bad bin range"),
+    ])
+    def test_parse_bins_rejects_what_int_alone_accepts(self, text, message, capsys):
+        with pytest.raises(InvalidInputError, match=message):
+            parse_bins(text)
+        assert run_cli("chsh", "finite", f"--bins={text}") == 3
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["1_0", "+2", "\u0662", " 2\t"])
+    def test_override_key_must_be_ascii_digits(self, key, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"bins": [-2, -1, 0, 1, 2],
+                                    "dispersion": {"per_bin_overrides": {key: 0.5}}}))
+        assert run_cli("chsh", "finite", "--config", str(path)) == 3
+        assert (f"bad config value: invalid literal for int() with base 10: {key!r}"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("argv", [
+        ("chsh", "eval", "--seed", "1_0"), ("chsh", "eval", "--seed", "+7"),
+        ("chsh", "finite", "--max-order", "6_4"), ("chsh", "finite", "--max-order", "\uff16\uff14"),
+        ("pattern", "--steps", "1_0"), ("chsh", "optimize", "--restarts", "2_0"),
+        ("chsh", "montecarlo", "--ensembles", "\u0665\u0660"),
+    ])
+    def test_integer_flag_must_be_ascii_digits(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--out", str(out)) == 2
+        assert f"argument {argv[-2]}: invalid strict_int value" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_file_must_hold_an_object(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[1, 2]")
+        assert run_cli("chsh", "finite", "--config", str(path)) == 3
+        assert f"config file {path}: expected a JSON object" in capsys.readouterr().err
 
     def test_flag_overrides_config_file(self, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -212,6 +252,13 @@ class TestPattern:
         assert sorted(path.name for path in tmp_path.iterdir()) == written
         head = "{" if written[0].endswith(".json") else "alpha,"
         assert (tmp_path / written[0]).read_text().startswith(head)
+
+    @pytest.mark.parametrize("flag", ["--a", "--b"])
+    def test_negative_amplitude_is_data_error(self, flag, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert run_cli("pattern", flag, "-1", "--out", str(out)) == 3
+        assert "modulation amplitude must be finite and >= 0" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
     def test_invalid_range_is_usage_error(self, tmp_path, capsys):
         assert run_cli("pattern", "--steps", "1", "--out", str(tmp_path / "x.csv")) == 2
@@ -552,6 +599,12 @@ class TestExitCodes:
             assert run_cli(*argv, "--seed", "-1") == 3
             assert "seed must be >= 0" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_one_ensemble_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "mc.json"
+        assert run_cli("chsh", "montecarlo", "--ensembles", "1", "--out", str(out)) == 2
+        assert "--ensembles must be at least 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_amplitude_bound_is_data_error(self, capsys):
         for bound in ("nan", "inf", "20"):

@@ -15,7 +15,8 @@ from freqbin import (CountRecord, EstimatorError, Histogram, HistogramFormatErro
                      ingest_histogram, chsh_optimal_quad, simulate_counts, synthesize_histogram,
                      visibility)
 from freqbin.counts import (_HEADER_RE, DEFAULT_BACKGROUND_WINDOW, DEFAULT_PEAK_WINDOW,
-                            MAX_POISSON_MEAN, MAX_SPAN_BINS, OUTCOMES, _read_text)
+                            MAX_POISSON_MEAN, MAX_SPAN_BINS, OUTCOMES, _read_text,
+                            simulate_chsh_ensembles)
 
 CORRELATED = ProbTable(0.5, 0.0, 0.0, 0.5)
 
@@ -177,6 +178,14 @@ class TestSimulateCounts:
                                   pair_rate=1.9 * MAX_POISSON_MEAN / 1800.0)
         assert sum(simulate_counts(CORRELATED, at_cap, seed=1).counts()) > MAX_POISSON_MEAN
 
+    def test_span_must_exceed_the_peak(self):
+        with pytest.raises(InvalidInputError, match="span must exceed the peak width"):
+            synthesize_histogram(CORRELATED, experiment_model(), seed=1, span_bins=4)
+
+    def test_ensembles_need_four_tables(self):
+        with pytest.raises(InvalidInputError, match="needs exactly 4 tables"):
+            simulate_chsh_ensembles([CORRELATED] * 3, experiment_model(), 1, 2)
+
     def test_empirical_car_matches_rates(self):
         model = experiment_model(efficiency=1.0, duration=1e6)
         uniform = ProbTable(0.25, 0.25, 0.25, 0.25)
@@ -209,10 +218,29 @@ class TestHistogramFormat:
         from_stream = ingest_histogram(io.StringIO(self.MINIMAL))
         assert np.array_equal(from_bytes.counts["EE"], from_stream.counts["EE"])
 
-    def test_bad_header(self):
-        with pytest.raises(HistogramFormatError) as excinfo:
-            ingest_histogram("EE,0,1\n")
+    @pytest.mark.parametrize("text, message", [
+        ("EE,0,1\n", "expected '# coincidence-histogram v1"),
+        ("", "empty input"),
+        ("# coincidence-histogram v1, bin_width_s=1e\nEE,0,1\n", "unparsable bin_width_s"),
+        ("# coincidence-histogram v1, bin_width_s=0\nEE,0,1\n", "bin_width_s must be positive"),
+    ])
+    def test_bad_header(self, text, message):
+        with pytest.raises(HistogramFormatError, match=f"^line 1: {message}") as excinfo:
+            ingest_histogram(text)
         assert excinfo.value.line == 1
+
+    @pytest.mark.parametrize("width, counts, message", [
+        (0.0, {"EE": [1]}, "bin_width_s must be positive"),
+        (float("nan"), {"EE": [1]}, "bin_width_s must be positive"),
+        (1e-9, {}, "histogram needs at least one channel pair"),
+        (1e-9, {"XY": [1]}, "unknown channel pair 'XY'"),
+        (1e-9, {"EE": [1, -1]}, "histogram counts must be >= 0"),
+        (1e-9, {"EE": [1, 2], "OO": [1]}, "channel-pair arrays must share one nonzero length"),
+        (1e-9, {"EE": []}, "channel-pair arrays must share one nonzero length"),
+    ])
+    def test_histogram_checks_its_fields(self, width, counts, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            Histogram(bin_width_s=width, start_index=0, counts=counts)
 
     def test_negative_count_names_line(self):
         text = "# coincidence-histogram v1, bin_width_s=5e-10\nEE,0,3\nEE,1,-2\n"
@@ -634,6 +662,21 @@ class TestExtractCounts:
         assert record.counts() == (2**64,) * 4
         assert record.background_per_outcome == (float(2**64),) * 4
 
+    def test_missing_channel_pair_counts_zero(self):
+        counts = {"EE": np.full(100, 3, dtype=np.int64)}
+        histogram = Histogram(bin_width_s=1e-9, start_index=-50, counts=counts)
+        record = extract_counts(histogram, (0.0, 10e-9), (20e-9, 40e-9))
+        assert record.counts() == (30, 0, 0, 0)
+        assert record.background_per_outcome == (30.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("peak, message", [
+        ((5e-9, 5e-9), "peak window is empty"),
+        ((0.2e-9, 0.8e-9), "peak window selects no bins"),
+    ])
+    def test_window_that_selects_nothing_rejected(self, peak, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            extract_counts(self.flat_histogram(), peak, (20e-9, 30e-9))
+
     def test_overlapping_windows_rejected(self):
         with pytest.raises(InvalidInputError):
             extract_counts(self.flat_histogram(), (0.0, 10e-9), (5e-9, 20e-9))
@@ -845,6 +888,17 @@ class TestChshEstimate:
 
 
 class TestCountRecordJson:
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_eo": -1}, "counts must be >= 0"),
+        ({"background_per_outcome": (0.0, -0.5, 0.0, 0.0)}, "background must be >= 0"),
+        ({"duration": 0.0}, "duration must be positive"),
+        ({"duration": float("nan")}, "duration must be positive"),
+    ])
+    def test_checks_its_fields(self, kwargs, message):
+        fields = {"n_ee": 1, "n_eo": 1, "n_oe": 1, "n_oo": 1, **kwargs}
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            CountRecord(**fields)
+
     def test_schema_roundtrip(self):
         record = CountRecord(10, 2, 3, 11, setting_labels=("A0", "B1"), duration=1800.0,
                              background_per_outcome=(1.0, 1.5, 0.5, 2.0))
