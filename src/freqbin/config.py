@@ -64,8 +64,16 @@ class RunConfig:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
         try:
             disp = data.get("dispersion", {})
-            overrides = {strict_int(k): float(_number(f"dispersion.per_bin_overrides[{k!r}]", v))
-                         for k, v in (disp.get("per_bin_overrides") or {}).items()}
+            overrides, keys = {}, {}
+            for key, value in (disp.get("per_bin_overrides") or {}).items():
+                bin_index = strict_int(key)
+                if bin_index in keys:  # "0" and "-0", or "2" and " 2"
+                    raise InvalidInputError(
+                        f"bad config value: dispersion.per_bin_overrides keys {keys[bin_index]!r} "
+                        f"and {key!r} both name bin {bin_index}")
+                keys[bin_index] = key
+                name = f"dispersion.per_bin_overrides[{key!r}]"
+                overrides[bin_index] = float(_number(name, value))
             measurement = {key: _number(f"measurement.{key}", value)
                            for key, value in data.get("measurement", {}).items()}
             return cls(
@@ -96,10 +104,20 @@ def _number(name: str, value, integer: bool = False):
     return value
 
 
+def _object_without_repeated_keys(pairs) -> dict:
+    """A JSON object as a dict; json.load alone would keep the last of two equal keys."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise InvalidInputError(f"repeated key {key!r} in a JSON object")
+        obj[key] = value
+    return obj
+
+
 def load_config(path) -> RunConfig:
     try:
         with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
+            data = json.load(handle, object_pairs_hook=_object_without_repeated_keys)
     except (OSError, ValueError) as exc:  # unreadable file, bad UTF-8 or bad JSON
         raise InvalidInputError(f"config file {path}: {exc}") from None
     if not isinstance(data, dict):

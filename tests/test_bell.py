@@ -1,5 +1,6 @@
 """CHSH evaluation and optimization, closed-form and finite-bin."""
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -10,7 +11,7 @@ from freqbin import (DispersionProfile, InvalidInputError, MeasurementModel, Mod
                      OptimizationError, SettingQuad, WindowBoundError, chsh_finite, chsh_ideal,
                      optimize_general, optimize_symmetric, chsh_optimal_quad, symmetric_chsh,
                      symmetric_quad)
-from freqbin.bell import _neg_chsh_and_gradient
+from freqbin.bell import _neg_chsh_and_gradients
 
 S_MAX_THEORY = 2.5664949013225584  # 3 J_0(4c*) - J_0(12c*) at the optimal amplitude
 S_STAR = 2.566494962149  # the same maximum at c* = 0.231844 to 1e-12
@@ -160,7 +161,7 @@ class TestOptimizeGeneral:
 
         def no_solve(*args, **kwargs):
             raise AssertionError("a restart ran past the bound")
-        monkeypatch.setattr(bell, "_lbfgsb_solve", no_solve)
+        monkeypatch.setattr(bell, "_lbfgsb_lockstep", no_solve)
         with pytest.raises(InvalidInputError, match=f"at most {bell.MAX_RESTARTS}"):
             optimize_general(zero_quad(), 1.5, bell.MAX_RESTARTS + 1, 0)
 
@@ -173,10 +174,60 @@ def quad_from_vector(x):
     return SettingQuad(*(ModulationSetting(x[k], x[k + 4]) for k in range(4)))
 
 
-def central_gradient(x, step=1e-6):
-    return np.array([(_neg_chsh_and_gradient(x + step * e)[0]
-                       - _neg_chsh_and_gradient(x - step * e)[0]) / (2 * step)
-                      for e in np.eye(8)])
+def scalar_neg_chsh_and_gradient(x):
+    """The bitwise oracle for a row of _neg_chsh_and_gradients: its formula on Python floats.
+
+    Each pair has D^2 = a^2 + b^2 + 2ab cos(alpha - beta) and E = J_0(2D), so
+    dE/d(D^2) = -J_1(2D)/D, which tends to -1 as D -> 0.
+    """
+    from scipy.special import j0, j1
+    v = x.tolist()
+    s = 0.0
+    grad = [0.0] * 8
+    for sign, (i, j) in zip((1.0, 1.0, 1.0, -1.0), ((0, 2), (0, 3), (1, 2), (1, 3))):
+        a, b, diff = v[i], v[j], v[i + 4] - v[j + 4]
+        cos_diff = math.cos(diff)
+        d = math.sqrt(max(a * a + b * b + 2.0 * a * b * cos_diff, 0.0))
+        s += sign * float(j0(2.0 * d))
+        slope = sign * (-float(j1(2.0 * d)) / d if d else -1.0)  # sign * dE/d(D^2)
+        grad[i] += 2.0 * slope * (a + b * cos_diff)
+        grad[j] += 2.0 * slope * (b + a * cos_diff)
+        phase_term = 2.0 * slope * a * b * math.sin(diff)
+        grad[i + 4] -= phase_term
+        grad[j + 4] += phase_term
+    return -s, -np.array(grad)
+
+
+def one_row_objective(x):
+    """-S and its gradient at one point, as minimize(jac=True) takes them."""
+    value, gradient = _neg_chsh_and_gradients(x[None, :])
+    return value[0], gradient[0]
+
+
+def central_gradients(points, step=1e-6):
+    """Central differences of -S along each coordinate at each row of points."""
+    shifts = step * np.eye(8)
+    return np.stack([(_neg_chsh_and_gradients(points + shift)[0]
+                      - _neg_chsh_and_gradients(points - shift)[0]) / (2 * step)
+                     for shift in shifts], axis=1)
+
+
+def random_points(count, seed):
+    """Amplitudes on [0, 1.5] and phases on the search box's [-2 pi, 4 pi]."""
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.uniform(0.0, 1.5, (count, 4)),
+                           rng.uniform(-2 * math.pi, 4 * math.pi, (count, 4))], axis=1)
+
+
+def edge_points(seed):
+    """Points where D = 0 for every pair, D00 = D11 = 0 only, or every amplitude is on the bound."""
+    rng = np.random.default_rng(seed)
+    on_bound = np.concatenate([np.full((20, 4), 1.5), rng.uniform(0.0, 2 * math.pi, (20, 4))],
+                              axis=1)
+    return np.concatenate([np.zeros((1, 8)),
+                           [[0.4, 0.4, 0.4, 0.4, 0.0, math.pi, math.pi, 0.0]],
+                           [[0.0, 0.7, 0.0, 0.3, 1.0, 2.0, 3.0, 4.0]],  # a0 = b0 = 0: D00 = 0
+                           on_bound])
 
 
 # the minimize options each optimize_general solve must reproduce bit for bit
@@ -200,44 +251,78 @@ class RecordedSolve:
         return {4: 0, 5: 1}.get(self.stop[0], 2)
 
 
-@pytest.fixture
-def recorded_solves(monkeypatch):
-    """The list of every bell._lbfgsb_solve call from here on, as RecordedSolve.
+@dataclass
+class SearchRecord:
+    solves: list  # a RecordedSolve per restart of every search, in restart order
+    rounds: list  # per objective call of the last search, the restarts it evaluated
 
-    Iterations count setulb's new-iterate requests (task 1), as minimize's
-    nit does, and evaluations count calls of the objective.
+
+@pytest.fixture
+def search_record(monkeypatch):
+    """Records every bell._lbfgsb_lockstep search from here on.
+
+    Counted outside the driver: iterations are setulb's new-iterate requests
+    (task 1), as minimize's nit counts them, and a restart's evaluations are
+    the objective calls that carry its point. setulb moves row k of the
+    driver's array of points for restart k, which names the restart of each
+    setulb call. A restart asks for a point when its last setulb task is 3 and
+    its point differs from the last one evaluated for it; each objective call
+    must carry exactly the asking restarts' points, in restart order.
     """
     import scipy.optimize._lbfgsb as lbfgsb
     from freqbin import bell
-    solve, step, objective = bell._lbfgsb_solve, lbfgsb.setulb, bell._neg_chsh_and_gradient
-    solves, current = [], {}
+    driver, step, objective = bell._lbfgsb_lockstep, lbfgsb.setulb, bell._neg_chsh_and_gradients
+    record = SearchRecord([], [])
+    search = {"active": False}
 
     def counting_step(*args):
         step(*args)
+        if not search["active"]:  # a reference minimize call
+            return
+        point = args[1]
+        points = search["points"] = point.base
+        k = (point.ctypes.data - points.ctypes.data) // points.strides[0]
         task = args[11]
-        current["iterations"] += int(task[0] == 1)
-        current["stop"] = (int(task[0]), int(task[1]))
+        search["iterations"][k] = search["iterations"].get(k, 0) + int(task[0] == 1)
+        search["stop"][k] = (int(task[0]), int(task[1]))
 
     def counting_objective(x):
-        current["evaluations"] += 1
+        points, evaluated = search["points"], search["evaluated"]
+        asking = [k for k in sorted(search["stop"])
+                  if search["stop"][k][0] == 3 and points[k].tobytes() != evaluated.get(k)]
+        assert x.tobytes() == points[asking].tobytes()
+        for k in asking:
+            evaluated[k] = points[k].tobytes()
+            search["evaluations"][k] = search["evaluations"].get(k, 0) + 1
+        record.rounds.append(asking)
         return objective(x)
 
-    def recording_solve(x0, lower, upper):
-        current.update(iterations=0, evaluations=0)
-        fun, x = solve(x0, lower, upper)
-        solves.append(RecordedSolve(x0.copy(), lower.copy(), upper.copy(), fun, x.copy(),
-                                    current["iterations"], current["evaluations"], current["stop"]))
-        return fun, x
+    def recording_driver(objective, starts, lower, upper):
+        search.update(iterations={}, evaluations={}, stop={}, evaluated={}, active=True)
+        record.rounds.clear()
+        funs, ends = driver(objective, starts, lower, upper)
+        search["active"] = False
+        for k, x0 in enumerate(starts):
+            record.solves.append(RecordedSolve(
+                x0.copy(), lower.copy(), upper.copy(), float(funs[k]), ends[k].copy(),
+                search["iterations"][k], search["evaluations"].get(k, 0), search["stop"][k]))
+        return funs, ends
     monkeypatch.setattr(lbfgsb, "setulb", counting_step)
-    monkeypatch.setattr(bell, "_neg_chsh_and_gradient", counting_objective)
-    monkeypatch.setattr(bell, "_lbfgsb_solve", recording_solve)
-    return solves
+    monkeypatch.setattr(bell, "_neg_chsh_and_gradients", counting_objective)
+    monkeypatch.setattr(bell, "_lbfgsb_lockstep", recording_driver)
+    return record
+
+
+@pytest.fixture
+def recorded_solves(search_record):
+    """The RecordedSolve of every restart of every search from here on."""
+    return search_record.solves
 
 
 def assert_is_the_minimize_solve(solve, options):
     """solve must be bitwise the public scipy.optimize.minimize solve from its start."""
     from scipy.optimize import Bounds, minimize
-    reference = minimize(_neg_chsh_and_gradient, solve.x0, jac=True, method="L-BFGS-B",
+    reference = minimize(one_row_objective, solve.x0, jac=True, method="L-BFGS-B",
                          bounds=Bounds(solve.lower, solve.upper), options=options)
     assert solve.x.tobytes() == reference.x.tobytes()
     assert np.float64(solve.fun).tobytes() == np.float64(reference.fun).tobytes()
@@ -248,25 +333,41 @@ def assert_is_the_minimize_solve(solve, options):
 class TestGradientSearch:
     """The analytic -S and -dS/dx that optimize_general's L-BFGS-B runs on."""
 
-    def random_points(self, count, seed):
-        rng = np.random.default_rng(seed)
-        return [np.concatenate([rng.uniform(0.0, 1.5, 4), rng.uniform(-2 * math.pi, 4 * math.pi, 4)])
-                for _ in range(count)]
+    @pytest.mark.parametrize("rows", [1, 7, 20, 10_000])
+    def test_each_row_is_the_scalar_formula_bitwise(self, rows):
+        # random points with the edge cases mixed in: D = 0 rows take the D -> 0 limit
+        # next to rows that divide, so both meet the oracle in one batch
+        points = np.concatenate([edge_points(rows), random_points(rows, rows)])
+        points = points[np.random.default_rng(rows + 1).permutation(len(points))]
+        for batch in (points[k:k + rows] for k in range(0, len(points), rows)):
+            values, gradients = _neg_chsh_and_gradients(batch)
+            assert gradients.shape == batch.shape
+            for x, value, gradient in zip(batch, values, gradients):
+                expected_value, expected_gradient = scalar_neg_chsh_and_gradient(x)
+                assert np.float64(expected_value).tobytes() == value.tobytes()
+                assert expected_gradient.tobytes() == gradient.tobytes()
+
+    def test_a_row_does_not_depend_on_its_batch(self):
+        points = np.concatenate([edge_points(3), random_points(200, 4)])
+        values, gradients = _neg_chsh_and_gradients(points)
+        order = np.random.default_rng(5).permutation(len(points))
+        shuffled_values, shuffled_gradients = _neg_chsh_and_gradients(points[order])
+        assert shuffled_values.tobytes() == values[order].tobytes()
+        assert shuffled_gradients.tobytes() == gradients[order].tobytes()
+        for k in (0, 1, 2, 50):  # a row alone
+            value, gradient = _neg_chsh_and_gradients(points[k:k + 1])
+            assert value.tobytes() == values[k:k + 1].tobytes()
+            assert gradient.tobytes() == gradients[k:k + 1].tobytes()
 
     def test_gradient_matches_central_differences(self):
-        points = self.random_points(200, 17)
-        rng = np.random.default_rng(18)
-        for _ in range(20):  # every amplitude on the bound
-            points.append(np.concatenate([np.full(4, 1.5), rng.uniform(0.0, 2 * math.pi, 4)]))
-        points.append(np.zeros(8))  # D = 0 for every pair
-        points.append(np.array([0.4, 0.4, 0.4, 0.4, 0.0, math.pi, math.pi, 0.0]))  # D00 = D11 = 0
-        for x in points:
-            _, grad = _neg_chsh_and_gradient(x)
-            assert np.max(np.abs(grad - central_gradient(x))) < 1e-7
+        points = np.concatenate([random_points(200, 17), edge_points(18)])
+        _, gradients = _neg_chsh_and_gradients(points)
+        assert np.max(np.abs(gradients - central_gradients(points)), axis=1).max() < 1e-7
 
     def test_objective_is_minus_chsh_ideal(self):
-        for x in self.random_points(500, 19):
-            value, _ = _neg_chsh_and_gradient(x)
+        points = random_points(500, 19)
+        values, _ = _neg_chsh_and_gradients(points)
+        for x, value in zip(points, values):
             assert abs(value + chsh_ideal(quad_from_vector(x)).s_value) <= 1e-14
 
     def test_same_seed_same_quad(self):
@@ -316,6 +417,57 @@ class TestGradientSearch:
                               ModulationSetting(0.5, 1.0), ModulationSetting(0.7, 20.0))
         optimize_general(outside, 1.5, restarts=1, seed=0)
         assert_is_the_minimize_solve(recorded_solves[0], LBFGSB_OPTIONS)
+
+    def test_one_objective_call_per_round(self, search_record):
+        # each round steps every live restart to its next new point and evaluates
+        # them all in one call, whose rows the fixture checks are the asking
+        # restarts' points in restart order: a restart with E evaluations is in
+        # the first E rounds, and the search makes as many calls as its longest
+        # restart makes evaluations
+        for seed in range(3):
+            search_record.solves.clear()
+            optimize_general(zero_quad(), 1.5, restarts=20, seed=seed)
+            evaluations = [solve.evaluations for solve in search_record.solves]
+            assert len(search_record.rounds) == max(evaluations)
+            for r, asking in enumerate(search_record.rounds):
+                assert asking == [k for k in range(20) if evaluations[k] > r]
+
+    def test_restarts_past_the_lockstep_width_wait_for_a_free_slot(self, search_record,
+                                                                     monkeypatch):
+        # past _LOCKSTEP_WIDTH restarts, a start enters only as a live restart stops;
+        # at width 3, 20 restarts must each give the solve they give all live at once,
+        # in restart order, and the search the same quad and S to the last bit
+        from freqbin import bell
+        full = optimize_general(zero_quad(), 3.0, restarts=20, seed=2)
+        all_live = list(search_record.solves)
+        search_record.solves.clear()
+        monkeypatch.setattr(bell, "_LOCKSTEP_WIDTH", 3)
+        narrow = optimize_general(zero_quad(), 3.0, restarts=20, seed=2)
+        assert repr(narrow) == repr(full)
+        assert len(search_record.solves) == 20
+        for solve, reference in zip(search_record.solves, all_live):
+            assert solve.x0.tobytes() == reference.x0.tobytes()
+            assert solve.x.tobytes() == reference.x.tobytes()
+            assert np.float64(solve.fun).tobytes() == np.float64(reference.fun).tobytes()
+            assert (solve.iterations, solve.evaluations, solve.stop) == \
+                (reference.iterations, reference.evaluations, reference.stop)
+            assert_is_the_minimize_solve(solve, LBFGSB_OPTIONS)
+        # each round carries the live restarts that have not stopped: a restart with
+        # E evaluations asks in E rounds, stops in the next, and its slot refills after
+        evaluations = [solve.evaluations for solve in search_record.solves]
+        rounds, live, done = [], [], [0] * 20
+        pending = iter(range(20))
+        while True:
+            live = [*live, *itertools.islice(pending, 3 - len(live))]
+            if not live:
+                break
+            live = [k for k in live if done[k] < evaluations[k]]
+            if live:
+                rounds.append(live)
+                for k in live:
+                    done[k] += 1
+        assert search_record.rounds == rounds
+        assert max(map(len, rounds)) == 3 and sum(map(len, rounds)) == sum(evaluations)
 
     @pytest.mark.parametrize("cap, option, stop", [("_LBFGSB_MAX_ITERATIONS", "maxiter", 504),
                                                     ("_LBFGSB_MAX_EVALUATIONS", "maxfun", 502)])

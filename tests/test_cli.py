@@ -159,6 +159,43 @@ class TestConfig:
         assert f"argument {argv[-2]}: invalid strict_int value" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("overrides, first, second, bin_index", [
+        ('{"0": 1.0, "-0": 2.0}', "0", "-0", 0), ('{"2": 1.0, " 2": 3.0}', "2", " 2", 2),
+    ], ids=["minus-zero", "space"])
+    def test_override_keys_naming_one_bin_are_data_error(self, overrides, first, second, bin_index,
+                                                         tmp_path, capsys):
+        # both keys once kept only the last value, with no error
+        message = (f"dispersion.per_bin_overrides keys {first!r} and {second!r} "
+                   f"both name bin {bin_index}")
+        text = ('{"bins": [0, 1, 2], "dispersion": {"quadratic_coefficient": 0.1, '
+                f'"per_bin_overrides": {overrides}}}}}')
+        with pytest.raises(InvalidInputError, match=message):
+            RunConfig.from_dict(json.loads(text))
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--config", str(path), "--out", str(out)) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"seed": 1, "seed": 2, "bins": [1, 2, 3]}', "seed"),
+        ('{"dispersion": {"quadratic_coefficient": 0.1, "quadratic_coefficient": 0.2}}',
+         "quadratic_coefficient"),
+        ('{"bins": [0, 1], "dispersion": {"per_bin_overrides": {"1": 1.0, "1": 2.0}}}', "1"),
+    ], ids=["top-level", "section", "override"])
+    def test_repeated_key_in_config_file_is_data_error(self, text, key, tmp_path, capsys):
+        # json.load alone keeps the last of two equal keys: {"seed": 1, "seed": 2} loaded seed 2
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError, match=f"repeated key {key!r}"):
+            load_config(path)
+        out = tmp_path / "sim"
+        assert run_cli("simulate", "--config", str(path), "--out", str(out)) == 3
+        err = capsys.readouterr().err
+        assert f"config file {path}: repeated key {key!r} in a JSON object" in err
+        assert not out.exists()
+
     def test_config_file_must_hold_an_object(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text("[1, 2]")
@@ -679,7 +716,7 @@ class TestExitCodes:
             raise AssertionError("work started past the bound")
         for module, name in ((cli, "parity_tables"), (cli, "ideal_probabilities"),
                              (cli, "simulate_counts"), (cli, "simulate_chsh_ensembles"),
-                             (bell, "_lbfgsb_solve")):
+                             (bell, "_lbfgsb_lockstep")):
             monkeypatch.setattr(module, name, no_work)
         limit = {"MAX_STEPS": cli.MAX_STEPS, "MAX_ENSEMBLES": cli.MAX_ENSEMBLES,
                  "MAX_RESTARTS": bell.MAX_RESTARTS}[bound]
