@@ -50,9 +50,19 @@ MAX_POISSON_MEAN = 1e15
 MAX_SPAN_BINS = 1_000_000
 _MAX_COUNT = int(np.iinfo(np.int64).max)  # counts are stored as int64
 
-# Characters of histogram text split into lines at a time: one chunk's line list,
-# ~6 MB of str objects, is held at once, not the whole file's.
+# Characters of histogram text read at a time: one chunk's copies (~3.5 MB in the
+# numpy pass, ~5 MB of line strs in the row loop) are held at once, not the whole file's.
 _CHUNK_CHARS = 1 << 20
+
+# Rows exactly as emit_histogram writes them. _canonical_rows matches them in
+# line-aligned blocks of about _CHECK_CHARS characters, since one match keeps
+# ~280 B of backtracking state per row it spans (~20 MB over a whole chunk).
+_CANONICAL_ROWS = re.compile(r"(?:[EO][EO],-?[0-9]{1,18},[0-9]{1,18}\n)+")
+_CHECK_CHARS = 4096
+# the pair letters become digits, so a canonical chunk is one comma-separated list of int64
+_PAIR_DIGITS = str.maketrans("EO\n", "01,")
+_PAIR_CODES = {"EE": 0, "EO": 1, "OE": 10, "OO": 11}
+_FAST_BINS = 10**18  # a pair's first bin for the numpy pass: its offsets then fit int64
 
 # Ensembles that simulate_chsh_ensembles draws per numpy call: ~0.8 kB of working
 # memory each. The chunks come in order from one generator, so the size never
@@ -252,15 +262,19 @@ def ingest_histogram(source) -> Histogram:
     """Parse the histogram CSV format from a string, bytes, or readable stream.
 
     Malformed input is rejected with the offending line number. The text is
-    split into lines about _CHUNK_CHARS characters at a time, and each row
-    keeps 16 bytes: its offset from its pair's first bin and its count. A file
-    at the span cap, 4 pairs x MAX_SPAN_BINS rows (53 MB), took ~5.5 s and
-    raised max RSS by ~164 MB over its bytes, decoded text included, on a
-    2-vCPU VM (Python 3.11, numpy 2.4).
+    read about _CHUNK_CHARS characters at a time. A chunk of rows written
+    exactly as emit_histogram writes them, in order, is read in one numpy
+    pass (_canonical_rows); any other chunk goes through the row loop
+    (_parse_rows), which alone decides what is malformed and how it is
+    reported. Each row keeps 16 bytes: its offset from its pair's first bin
+    and its count. A file at the span cap, 4 pairs x MAX_SPAN_BINS rows
+    (53 MB), took ~1.3 s and peaked at ~187 MB of RSS in a fresh process,
+    decoded text included, on a 2-vCPU VM (Python 3.11, numpy 2.4).
     """
     text = _read_text(source)
     chunks = _line_chunks(text)
-    lines = next(chunks, [])
+    head, newline, body = next(chunks, "").partition("\n")
+    lines = (head + newline).splitlines()  # the header, and any lines other breaks end in it
     if not lines:
         raise HistogramFormatError("empty input", line=1)
     match = _HEADER_RE.match(lines[0])
@@ -272,55 +286,15 @@ def ingest_histogram(source) -> Histogram:
         raise HistogramFormatError("unparsable bin_width_s", line=1) from None
     if not bin_width > 0.0:
         raise HistogramFormatError("bin_width_s must be positive", line=1)
-    del lines[0]
 
-    # pair -> [first delay bin, last delay bin, offsets from the first, counts]. Rows
-    # mostly come in runs of one pair, so the current pair's state lives in locals,
-    # and spelled is its field as written: a padded spelling is stripped, not keyed.
+    # pair -> [first delay bin, last delay bin, offsets from the first, counts]
     table: dict[str, list] = {}
-    spelled = state = None
-    lineno = 1
-    for lines in chain((lines,), chunks):
-        for lineno, raw in enumerate(lines, lineno + 1):
-            try:
-                written, index, count = raw.split(",")
-            except ValueError:
-                if not raw.strip():
-                    continue
-                raise HistogramFormatError("expected 'channel_pair,delay_bin_index,count'",
-                                           line=lineno) from None
-            try:
-                index = int(index)
-                count = int(count)
-            except ValueError:
-                _channel_pair(written, lineno)  # an unknown pair outranks bad integers
-                raise HistogramFormatError("delay_bin_index and count must be integers",
-                                           line=lineno) from None
-            if written != spelled:
-                pair = _channel_pair(written, lineno)
-                if state is not None:
-                    state[1] = last
-                state = table.get(pair)
-                if state is None:
-                    state = table[pair] = [index, index - 1, array("q"), array("q")]
-                spelled = written
-                first, last, offsets, values = state
-                put_offset, put_count = offsets.append, values.append
-            if not 0 <= count <= _MAX_COUNT:
-                raise HistogramFormatError(
-                    f"negative count {count}" if count < 0 else f"count {count} exceeds int64", line=lineno)
-            if index <= last:
-                raise HistogramFormatError(
-                    f"non-monotone delay bins for {pair}: {index} after {last}", line=lineno)
-            last = index
-            # an offset past the cap is not kept: the span check below then fails
-            offset = index - first
-            if offset < MAX_SPAN_BINS:
-                put_offset(offset)
-                put_count(count)
-    if state is None:
+    lineno = _parse_rows(lines[1:], 1, table)
+    for chunk in chain((body,), chunks):
+        rows = _canonical_rows(chunk, table)
+        lineno = lineno + rows if rows else _parse_rows(chunk.splitlines(), lineno, table)
+    if not table:
         raise HistogramFormatError("no data rows", line=lineno)
-    state[1] = last
 
     # rows are strictly increasing per pair, so each pair's ends bound the span
     lo = min(first for first, _, _, _ in table.values())
@@ -336,17 +310,108 @@ def ingest_histogram(source) -> Histogram:
     return Histogram(bin_width_s=bin_width, start_index=lo, counts=counts)
 
 
-def _line_chunks(text: str):
-    """text.splitlines(), as lists of lines from about _CHUNK_CHARS characters each.
+def _parse_rows(lines, lineno: int, table: dict) -> int:
+    """The row loop: add data rows numbered from lineno + 1 to table; the last line's number.
 
-    Each cut falls just after a "\\n", which ends a line (alone or as "\\r\\n"),
-    so the lists join into exactly the lines of the whole text.
+    Rows mostly come in runs of one pair, so the current pair's state lives in
+    locals, and spelled is its field as written: a padded spelling is stripped,
+    not keyed.
+    """
+    spelled = state = None
+    for lineno, raw in enumerate(lines, lineno + 1):
+        try:
+            written, index, count = raw.split(",")
+        except ValueError:
+            if not raw.strip():
+                continue
+            raise HistogramFormatError("expected 'channel_pair,delay_bin_index,count'",
+                                       line=lineno) from None
+        try:
+            index = int(index)
+            count = int(count)
+        except ValueError:
+            _channel_pair(written, lineno)  # an unknown pair outranks bad integers
+            raise HistogramFormatError("delay_bin_index and count must be integers",
+                                       line=lineno) from None
+        if written != spelled:
+            pair = _channel_pair(written, lineno)
+            if state is not None:
+                state[1] = last
+            state = table.get(pair)
+            if state is None:
+                state = table[pair] = [index, index - 1, array("q"), array("q")]
+            spelled = written
+            first, last, offsets, values = state
+            put_offset, put_count = offsets.append, values.append
+        if not 0 <= count <= _MAX_COUNT:
+            raise HistogramFormatError(
+                f"negative count {count}" if count < 0 else f"count {count} exceeds int64", line=lineno)
+        if index <= last:
+            raise HistogramFormatError(
+                f"non-monotone delay bins for {pair}: {index} after {last}", line=lineno)
+        last = index
+        # an offset past the cap is not kept: the span check then fails
+        offset = index - first
+        if offset < MAX_SPAN_BINS:
+            put_offset(offset)
+            put_count(count)
+    if state is not None:
+        state[1] = last
+    return lineno
+
+
+def _canonical_rows(chunk: str, table: dict) -> int:
+    """Add a chunk of canonical rows to table in one numpy pass; how many, or 0 and no change.
+
+    A canonical row is one that emit_histogram writes: an upper-case pair, an
+    ASCII index and count of at most 18 digits (so int64 holds them, and
+    their differences, exactly) and a "\\n". The chunk is taken only if every
+    row is canonical, each pair's bins rise past its last bin so far, and
+    each pair already seen starts within +-10**18; the row loop then gives
+    the same table. Anything else, a fault included, returns 0 with table
+    untouched, and the row loop reads the chunk.
+    """
+    pos = 0
+    while pos < len(chunk):  # line-aligned blocks: a match keeps state for every row it spans
+        end = chunk.find("\n", pos + _CHECK_CHARS) + 1 or len(chunk)
+        if not _CANONICAL_ROWS.fullmatch(chunk, pos, end):
+            return 0
+        pos = end
+    rows = np.fromstring(chunk.translate(_PAIR_DIGITS), dtype=np.int64, sep=",").reshape(-1, 3)
+    codes, bins, counts = rows.T
+    taken = []
+    for pair, code in _PAIR_CODES.items():
+        where = np.flatnonzero(codes == code)
+        if not where.size:
+            continue
+        pair_bins = bins[where]
+        head, state = int(pair_bins[0]), table.get(pair)
+        first, last = state[:2] if state else (head, head - 1)
+        if not (-_FAST_BINS < first < _FAST_BINS and head > last
+                and np.all(pair_bins[1:] > pair_bins[:-1])):
+            return 0
+        taken.append((where[0], pair, first, pair_bins, counts[where]))
+    for _, pair, first, pair_bins, pair_counts in sorted(taken, key=lambda t: t[0]):
+        state = table.setdefault(pair, [first, None, array("q"), array("q")])
+        state[1] = int(pair_bins[-1])
+        offsets = pair_bins - first
+        kept = np.searchsorted(offsets, MAX_SPAN_BINS)  # offsets rise, so the kept ones lead
+        state[2].frombytes(offsets[:kept].tobytes())
+        state[3].frombytes(pair_counts[:kept].tobytes())
+    return len(rows)
+
+
+def _line_chunks(text: str):
+    """text in pieces of about _CHUNK_CHARS characters, each cut just after a "\\n".
+
+    A "\\n" ends a line (alone or as "\\r\\n"), so the pieces' splitlines()
+    join into exactly the lines of the whole text.
     """
     start = 0
     while start < len(text):
         cut = text.find("\n", start + _CHUNK_CHARS)
         stop = len(text) if cut < 0 else cut + 1
-        yield text[start:stop].splitlines()
+        yield text[start:stop]
         start = stop
 
 

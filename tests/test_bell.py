@@ -418,6 +418,29 @@ class TestGradientSearch:
         optimize_general(outside, 1.5, restarts=1, seed=0)
         assert_is_the_minimize_solve(recorded_solves[0], LBFGSB_OPTIONS)
 
+    def test_each_restart_hands_setulb_a_start_inside_the_box(self, monkeypatch):
+        # scipy 1.17's setulb projects x0 into the box itself, so the solve alone
+        # cannot show whether the driver clips the starts as minimize does
+        import scipy.optimize._lbfgsb as lbfgsb
+        from freqbin import bell
+        step, first_points = lbfgsb.setulb, {}
+
+        def checking_step(*args):
+            point = args[1]  # row k of the driver's points for restart k
+            k = (point.ctypes.data - point.base.ctypes.data) // point.base.strides[0]
+            first_points.setdefault(k, point.copy())
+            step(*args)
+        monkeypatch.setattr(lbfgsb, "setulb", checking_step)
+        two_pi = 2.0 * math.pi
+        lower = np.array([0.0] * 4 + [-two_pi] * 4)
+        upper = np.array([1.5] * 4 + [2.0 * two_pi] * 4)
+        starts = np.random.default_rng(4).uniform(-2.0 * two_pi, 3.0 * two_pi, (7, 8))
+        assert np.all(np.any((starts < lower) | (starts > upper), axis=1))
+        bell._lbfgsb_lockstep(bell._neg_chsh_and_gradients, starts, lower, upper)
+        assert sorted(first_points) == list(range(7))
+        for k, point in first_points.items():
+            assert point.tobytes() == np.clip(starts[k], lower, upper).tobytes()
+
     def test_one_objective_call_per_round(self, search_record):
         # each round steps every live restart to its next new point and evaluates
         # them all in one call, whose rows the fixture checks are the asking

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freqbin import (CountRecord, EstimatorError, Histogram, HistogramFormatError,
                      InvalidInputError, MeasurementModel, ModulationSetting, ProbTable,
@@ -14,9 +15,9 @@ from freqbin import (CountRecord, EstimatorError, Histogram, HistogramFormatErro
                      effective_drive, emit_histogram, extract_counts, ideal_probabilities,
                      ingest_histogram, chsh_optimal_quad, simulate_counts, synthesize_histogram,
                      visibility)
-from freqbin.counts import (_HEADER_RE, DEFAULT_BACKGROUND_WINDOW, DEFAULT_PEAK_WINDOW,
-                            MAX_POISSON_MEAN, MAX_SPAN_BINS, OUTCOMES, _read_text,
-                            simulate_chsh_ensembles)
+from freqbin.counts import (_CHUNK_CHARS, _HEADER_RE, DEFAULT_BACKGROUND_WINDOW,
+                            DEFAULT_PEAK_WINDOW, MAX_POISSON_MEAN, MAX_SPAN_BINS, OUTCOMES,
+                            _line_chunks, _read_text, simulate_chsh_ensembles)
 
 CORRELATED = ProbTable(0.5, 0.0, 0.0, 0.5)
 
@@ -564,11 +565,216 @@ class TestChunkedIngest:
                 assert np.array_equal(back.counts[pair], histogram.counts[pair])
 
 
+def canonical_text(rows):
+    """Histogram text of (pair, index, count) rows, each written as emit_histogram writes it."""
+    return HEADER + "\n" + "".join(f"{pair},{index},{count}\n" for pair, index, count in rows)
+
+
+@pytest.fixture
+def fast_rows(monkeypatch):
+    """Rows the numpy pass takes from each chunk, in order; 0 where the row loop reads the chunk."""
+    from freqbin import counts
+    taken, numpy_pass = [], counts._canonical_rows
+
+    def logged(chunk, table):
+        taken.append(numpy_pass(chunk, table))
+        return taken[-1]
+    monkeypatch.setattr(counts, "_canonical_rows", logged)
+    return taken
+
+
+# one mutation of a canonical file: a character inserted, replaced or deleted, two
+# adjacent rows swapped, or the last newline dropped
+MUTATIONS = ("none", "insert", "replace", "delete", "swap rows", "no final newline")
+MUTANT_CHARS = " \t\r\n\x0c+_-,09EOex\u0663\u3000"
+
+
+@st.composite
+def canonical_rows(draw):
+    """Rows with bins rising per pair from a shared base, up to 18 digits; counts of up to 17."""
+    base = draw(st.sampled_from([0, -(10**18 - 1), 10**18 - 200]) | st.integers(-10**6, 10**6))
+    rows = []
+    for pair in draw(st.lists(st.sampled_from(OUTCOMES), unique=True, min_size=1)):
+        offsets = sorted(draw(st.lists(st.integers(0, 199), unique=True, min_size=1, max_size=40)))
+        counts = st.integers(0, 1000) | st.integers(0, 10**17 - 1)
+        rows.append([(pair, base + offset, draw(counts)) for offset in offsets])
+    order = [k for k, block in enumerate(rows) for _ in block]
+    if draw(st.booleans()):  # interleaved pairs; otherwise one run per pair
+        draw(st.randoms(use_true_random=False)).shuffle(order)
+    blocks = [iter(block) for block in rows]
+    return [next(blocks[k]) for k in order]
+
+
+class TestCanonicalPass:
+    """The numpy pass reads chunks of rows as emit_histogram writes them; the row loop, the rest.
+
+    The oracle checks the result, message and line of every parse, and
+    fast_rows which chunks the numpy pass took. Chunks of 256 characters put
+    several cuts into short texts.
+    """
+
+    CHUNK = 256
+
+    @pytest.fixture
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr("freqbin.counts._CHUNK_CHARS", self.CHUNK)
+
+    @staticmethod
+    def assert_oracle(text, outcome=None):
+        """assert_same_parse with one ingest call, and pairs in the order the oracle keeps them."""
+        want, want_arrays = parse_outcome(oracle_ingest_histogram, text)
+        got, got_arrays = parse_outcome(ingest_histogram, text)
+        assert got == want, text
+        assert list(got_arrays) == list(want_arrays), text
+        for pair, arr in want_arrays.items():
+            assert np.array_equal(got_arrays[pair], arr), text
+        assert outcome in (None, want[0])
+
+    @pytest.mark.parametrize("chunk", [None, 4096, 97])
+    def test_emitted_files_never_reach_the_row_loop(self, monkeypatch, chunk):
+        # a numpy pass that declined every chunk would pass every equivalence test
+        if chunk is not None:
+            monkeypatch.setattr("freqbin.counts._CHUNK_CHARS", chunk)
+
+        def row_loop(lines, lineno, table):
+            if lines:
+                raise AssertionError(f"row loop reached at line {lineno + 1}")
+            return lineno
+        monkeypatch.setattr("freqbin.counts._parse_rows", row_loop)
+        probs = apply_crosstalk(ideal_probabilities(effective_drive(
+            ModulationSetting(0.6955, 0.0), ModulationSetting(0.6955, 1.0))), 0.0241)
+        for seed in range(3):
+            histogram = synthesize_histogram(probs, experiment_model(), seed, span_bins=2000)
+            text = emit_histogram(histogram)
+            back = ingest_histogram(text)
+            assert back.start_index == histogram.start_index
+            assert list(back.counts) == list(OUTCOMES)
+            for pair in OUTCOMES:
+                assert np.array_equal(back.counts[pair], histogram.counts[pair])
+            with pytest.raises(AssertionError, match="row loop reached at line 2$"):
+                ingest_histogram(text.replace("\n", "\r\n"))
+
+    @pytest.mark.parametrize("rows, taken", [
+        ([("EE", "-0", 7), ("EE", "0001", "00"), ("EE", "0" * 17 + "2", "0" * 17 + "9")], True),
+        ([("EE", 10**18 - 2, 1), ("EE", 10**18 - 1, 10**18 - 1)], True),
+        ([("OO", -(10**18 - 1), 3), ("OO", -(10**18 - 2), 4)], True),
+        ([("OO", -(10**18 - 1), 3), ("EE", 10**18 - 1, 4)], True),      # span fault
+        ([("EE", 0, 1), ("EE", 10**18, 1)], False),                     # 19-digit index
+        ([("EE", 0, 1), ("EE", -(10**18), 1)], False),
+        ([("EE", 0, 10**18)], False),                                   # 19-digit count
+        ([("EE", 0, 1), ("EE", "0" * 18 + "5", 1)], False),             # 19 digits, leading zeros
+        ([("EE", 0, "0" * 18 + "5")], False),
+        ([("EE", 0, 1), ("EE", "\u0663", "\u0664\u0662")], False),      # digits int() reads
+        ([("EE", "+1", "1_0")], False),
+    ])
+    def test_integer_fields_at_18_and_19_digits(self, small_chunks, fast_rows, rows, taken):
+        text = canonical_text(rows)
+        first, last = min(int(i) for _, i, _ in rows), max(int(i) for _, i, _ in rows)
+        self.assert_oracle(text, "ok" if last - first < MAX_SPAN_BINS else HistogramFormatError)
+        assert fast_rows == [len(rows) if taken else 0]
+
+    @pytest.mark.parametrize("layout", ["runs", "interleaved", "revisited"])
+    def test_pair_runs_across_cuts(self, small_chunks, fast_rows, layout):
+        if layout == "runs":  # each pair's run crosses at least one cut
+            rows = [(pair, n, (7 * n) % 1000) for pair in ("EO", "OO", "EE") for n in range(-30, 30)]
+        elif layout == "interleaved":
+            rows = [(pair, 2 * n + k, n) for n in range(60) for k, pair in enumerate(("OO", "EE", "EO"))]
+        else:  # EE again in a later chunk, past its last bin
+            rows = ([("EE", n, 1) for n in range(40)] + [("OO", n, 2) for n in range(40)]
+                    + [("EE", n, 3) for n in range(50, 90)])
+        text = canonical_text(rows)
+        assert len(list(_line_chunks(text))) >= 4
+        self.assert_oracle(text, "ok")
+        assert all(fast_rows) and sum(fast_rows) == len(rows)
+
+    @pytest.mark.parametrize("at", [0, 5])
+    def test_order_fault_in_a_canonical_chunk(self, small_chunks, fast_rows, at):
+        # at 0 the fault repeats the previous chunk's last bin; at 5 it steps back two bins
+        rows = [("EE", n, 1) for n in range(100, 200)]
+        cut = canonical_text(rows).find("\n", self.CHUNK) + 1
+        j = canonical_text(rows)[:cut].count("\n") - 1  # rows[j] opens the second chunk
+        rows[j + at] = ("EE", rows[j + at - 1 - (at > 0)][1], 1)
+        self.assert_oracle(canonical_text(rows), HistogramFormatError)
+        assert fast_rows == [j, 0]
+
+    @pytest.mark.parametrize("rows", [
+        [("EE", 0, 1), ("OO", MAX_SPAN_BINS - 1, 1)],
+        [("EE", -5, 1), ("OO", MAX_SPAN_BINS - 5, 1)],
+        [("EE", 0, 1), ("EE", MAX_SPAN_BINS, 1)],
+        [("EE", 0, 1)] + [("EE", MAX_SPAN_BINS + n, n) for n in range(60)],
+    ])
+    def test_span_fault(self, small_chunks, fast_rows, rows):
+        ok = rows[-1][1] - rows[0][1] < MAX_SPAN_BINS
+        self.assert_oracle(canonical_text(rows), "ok" if ok else HistogramFormatError)
+        assert all(fast_rows) and sum(fast_rows) == len(rows)
+
+    @pytest.mark.parametrize("far, then", [(-10**27, "EE"), (10**27, "EO"), (10**27, "EE")])
+    def test_canonical_chunks_after_a_pair_at_far_bins(self, small_chunks, fast_rows, far, then):
+        # the row loop reads EE at +-10**27 in the first chunk; canonical chunks follow
+        rows = [("EE", far, 5)] + [("OO", n, 1) for n in range(40)] + [(then, n, 2) for n in range(40)]
+        text = canonical_text(rows)
+        self.assert_oracle(text, HistogramFormatError)  # a span fault, or EE's bins step back
+        # the numpy pass keeps offsets from a pair's first bin in int64: it leaves EE alone
+        assert fast_rows[0] == 0
+        assert all(fast_rows[1:]) if then == "EO" else not any(fast_rows[1:])
+
+    @pytest.mark.parametrize("case", ["header only", "header without newline", "no final newline",
+                                      "one padded row", "one CRLF row"])
+    def test_other_chunks_go_to_the_row_loop(self, small_chunks, fast_rows, case):
+        rows = [("EE", n, n % 7) for n in range(80)]
+        text = canonical_text(rows)
+        if case == "header only":
+            text = HEADER + "\n"
+        elif case == "header without newline":
+            text = HEADER
+        elif case == "no final newline":
+            text = text[:-1]
+        else:
+            text = text.replace("\nEE,40,5\n", "\n EE,40,5\n" if case == "one padded row"
+                                else "\nEE,40,5\r\n")
+        self.assert_oracle(text, HistogramFormatError if case.startswith("header") else "ok")
+        declined = [k for k, taken in enumerate(fast_rows) if not taken]
+        if case.startswith("header"):
+            assert fast_rows == [0]
+        elif case == "no final newline":
+            assert declined == [len(fast_rows) - 1]
+        else:
+            assert len(declined) == 1 and len(fast_rows) >= 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_canonical_files_with_at_most_one_mutation_match_the_oracle(self, data):
+        text = canonical_text(data.draw(canonical_rows(), label="rows"))
+        mutation = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+        body = len(HEADER) + 1
+        at = data.draw(st.integers(body, len(text) - 1), label="at")
+        char = data.draw(st.sampled_from(MUTANT_CHARS), label="char")
+        if mutation == "insert":
+            text = text[:at] + char + text[at:]
+        elif mutation == "replace":
+            text = text[:at] + char + text[at + 1:]
+        elif mutation == "delete":
+            text = text[:at] + text[at + 1:]
+        elif mutation == "swap rows":
+            lines = text.splitlines(keepends=True)
+            k = data.draw(st.integers(1, max(1, len(lines) - 2)), label="row")
+            lines[k:k + 2] = lines[k:k + 2][::-1]
+            text = "".join(lines)
+        elif mutation == "no final newline":
+            text = text[:-1]
+        chunk = data.draw(st.sampled_from([64, self.CHUNK, 4096]), label="chunk")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("freqbin.counts._CHUNK_CHARS", chunk)
+            self.assert_oracle(text)
+
+
 class TestIngestMemory:
     """tracemalloc peaks of one 12,000-row ingest, in 8 KiB chunks so the test stays short.
 
     The parser holds one chunk's lines (~70 B each) and 16 B per kept row;
     holding the whole file's lines and per-row int lists took ~150 B per row.
+    A canonical file is also read at the full chunk size, where the numpy
+    pass holds ~3 MB per chunk.
     """
 
     ROWS = 12_000
@@ -603,6 +809,16 @@ class TestIngestMemory:
         peak, error = self.traced_peak(text)
         assert error is not None and "span" in str(error)
         assert peak < 200_000, peak  # measured 0.13 MB; 0.31 MB if they were kept
+
+    def test_canonical_file_at_the_full_chunk_size(self, monkeypatch):
+        monkeypatch.setattr("freqbin.counts._CHUNK_CHARS", _CHUNK_CHARS)
+        n = 40_000  # 160,000 rows, 2 MB: two chunks
+        counts = {pair: np.arange(n, dtype=np.int64) % 1000 for pair in OUTCOMES}
+        text = emit_histogram(Histogram(bin_width_s=5e-10, start_index=-n // 2, counts=counts))
+        peak, error = self.traced_peak(text)
+        assert error is None
+        # measured 8.9 MB; 23.8 MB with one regex match over a whole chunk, 13.7 MB in the row loop
+        assert peak < 12_000_000, peak
 
 
 class TestEmitMatchesOracle:
