@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
-from .params import (MAX_BINS, DispersionProfile, MeasurementModel, TruncationPolicy, is_int,
-                     strict_int)
+from .params import MAX_BINS, DispersionProfile, MeasurementModel, TruncationPolicy, strict_int
 
 
 @dataclass(frozen=True)
@@ -97,8 +96,8 @@ class RunConfig:
 
 
 def _number(name: str, value, integer: bool = False):
-    """value itself if a JSON integer or, unless integer, a JSON float; bool and str are neither."""
-    if not (is_int(value) or not integer and isinstance(value, float)):
+    """value itself if its type is exactly int or, unless integer, float: what json decodes numbers to."""
+    if not (type(value) is int or not integer and type(value) is float):
         kind = "an integer" if integer else "a number"
         raise InvalidInputError(f"bad config value: {name} must be {kind}, got {value!r}")
     return value

@@ -264,12 +264,13 @@ def ingest_histogram(source) -> Histogram:
     Malformed input is rejected with the offending line number. The text is
     read about _CHUNK_CHARS characters at a time. A chunk of rows written
     exactly as emit_histogram writes them, in order, is read in one numpy
-    pass (_canonical_rows); any other chunk goes through the row loop
-    (_parse_rows), which alone decides what is malformed and how it is
-    reported. Each row keeps 16 bytes: its offset from its pair's first bin
-    and its count. A file at the span cap, 4 pairs x MAX_SPAN_BINS rows
-    (53 MB), took ~1.3 s and peaked at ~187 MB of RSS in a fresh process,
-    decoded text included, on a 2-vCPU VM (Python 3.11, numpy 2.4).
+    pass (_canonical_rows), where the speed lives; any other chunk goes
+    through the row loop (_parse_rows), the plain judge that alone decides
+    what is malformed and how it is reported. Each row keeps 16 bytes: its
+    offset from its pair's first bin and its count. A file at the span cap,
+    4 pairs x MAX_SPAN_BINS rows (53 MB), took ~1.3 s and peaked at ~187 MB
+    of RSS in a fresh process, decoded text included, on a 2-vCPU VM
+    (Python 3.11, numpy 2.4); with CRLF line ends, all in the row loop, ~6.5 s.
     """
     text = _read_text(source)
     chunks = _line_chunks(text)
@@ -313,11 +314,10 @@ def ingest_histogram(source) -> Histogram:
 def _parse_rows(lines, lineno: int, table: dict) -> int:
     """The row loop: add data rows numbered from lineno + 1 to table; the last line's number.
 
-    Rows mostly come in runs of one pair, so the current pair's state lives in
-    locals, and spelled is its field as written: a padded spelling is stripped,
-    not keyed.
+    The plain judge of every row the numpy pass does not take, such as CRLF
+    or padded files: each row is split, read and checked against its pair's
+    entry in table, which the pair's first row creates.
     """
-    spelled = state = None
     for lineno, raw in enumerate(lines, lineno + 1):
         try:
             written, index, count = raw.split(",")
@@ -326,37 +326,28 @@ def _parse_rows(lines, lineno: int, table: dict) -> int:
                 continue
             raise HistogramFormatError("expected 'channel_pair,delay_bin_index,count'",
                                        line=lineno) from None
+        pair = _channel_pair(written, lineno)  # an unknown pair outranks bad integers
         try:
             index = int(index)
             count = int(count)
         except ValueError:
-            _channel_pair(written, lineno)  # an unknown pair outranks bad integers
             raise HistogramFormatError("delay_bin_index and count must be integers",
                                        line=lineno) from None
-        if written != spelled:
-            pair = _channel_pair(written, lineno)
-            if state is not None:
-                state[1] = last
-            state = table.get(pair)
-            if state is None:
-                state = table[pair] = [index, index - 1, array("q"), array("q")]
-            spelled = written
-            first, last, offsets, values = state
-            put_offset, put_count = offsets.append, values.append
         if not 0 <= count <= _MAX_COUNT:
             raise HistogramFormatError(
                 f"negative count {count}" if count < 0 else f"count {count} exceeds int64", line=lineno)
-        if index <= last:
+        entry = table.get(pair)
+        if entry is None:
+            entry = table[pair] = [index, index - 1, array("q"), array("q")]
+        if index <= entry[1]:
             raise HistogramFormatError(
-                f"non-monotone delay bins for {pair}: {index} after {last}", line=lineno)
-        last = index
+                f"non-monotone delay bins for {pair}: {index} after {entry[1]}", line=lineno)
+        entry[1] = index
         # an offset past the cap is not kept: the span check then fails
-        offset = index - first
+        offset = index - entry[0]
         if offset < MAX_SPAN_BINS:
-            put_offset(offset)
-            put_count(count)
-    if state is not None:
-        state[1] = last
+            entry[2].append(offset)
+            entry[3].append(count)
     return lineno
 
 

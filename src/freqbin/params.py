@@ -111,6 +111,10 @@ class DispersionProfile:
         phases = [self.quadratic_coefficient, *(self.per_bin_overrides or {}).values()]
         if not all(math.isfinite(phase) for phase in phases):
             raise InvalidInputError("dispersion phases must be finite")
+        if not abs(self.quadratic_coefficient) <= math.pi:
+            raise InvalidInputError(
+                f"dispersion quadratic_coefficient must lie in [-pi, pi], got {self.quadratic_coefficient!r}"
+                ": the phase c n**2 of every integer bin n has period 2 pi in c")
 
     def phases(self, bins) -> np.ndarray:
         """Phase in radians at each bin index in bins."""

@@ -690,6 +690,12 @@ class TestWindowCorrelation:
         for low, width in ((-20, 41), (-1000, 2001), (1777, 4001)):
             assert window_error(low, low + width - 1, coefficient, 12) <= 5e-12
 
+    @pytest.mark.parametrize("coefficient", [math.pi, -math.pi, math.pi / 2])
+    def test_matches_exact_sums_at_the_dispersion_bound(self, coefficient):
+        # DispersionProfile takes |c| <= pi, so these are the largest phases per bin it passes on
+        for low, width in ((-20, 41), (-1000, 2001), (1777, 4001), (-3000, 12)):
+            assert window_error(low, low + width - 1, coefficient, min(width - 1, 40)) <= 1e-14
+
     def test_matches_the_envelope_correlation_up_to_100001_bins(self):
         for half, coefficient in ((400, 1e-4), (10_000, -3e-3), (50_000, 1e-6), (50_000, -2e-5)):
             window = BinWindow(-half, half + 7)

@@ -97,6 +97,13 @@ class TestConfig:
         assert "must be" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize("data, name", [({"bins": list(np.arange(1, 7))}, "each bin"),
+                                            ({"seed": np.int64(7)}, "seed")])
+    def test_numpy_integer_is_not_a_json_integer(self, data, name):
+        # json.dumps cannot write a numpy integer back into a run record
+        with pytest.raises(InvalidInputError, match=f"bad config value: {name} must be an integer"):
+            RunConfig.from_dict(data)
+
     def test_integers_still_stand_for_floats(self, tmp_path, capsys):
         records = []
         for rf_frequency, coefficient in ((25_000_000_000, 0), (25e9, 0.0)):
@@ -754,6 +761,17 @@ class TestExitCodes:
         out = tmp_path / "report.json"
         assert run_cli(*argv, "--out", str(out)) == 3
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("coefficient", ["4", "1e308"])
+    def test_dispersion_beyond_one_period_is_data_error(self, coefficient, tmp_path):
+        # 1e308 once warned from np.modf and then failed on "p_ee = nan is not a probability"
+        out = tmp_path / "finite.json"
+        result = subprocess.run([sys.executable, "-m", "freqbin.cli", "chsh", "finite",
+                                 "--dispersion-quadratic", coefficient, "--out", str(out)],
+                                capture_output=True, text=True)
+        assert result.returncode == 3
+        assert "[-pi, pi]" in result.stderr and "RuntimeWarning" not in result.stderr
         assert not out.exists()
 
     def test_import_loads_no_scipy_solver(self):

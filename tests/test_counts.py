@@ -258,6 +258,17 @@ class TestHistogramFormat:
             ingest_histogram(header + f"EE,1,{2**63}\n")
         assert excinfo.value.line == 3
 
+    @pytest.mark.parametrize("row, message", [
+        ("XY,0.5,1", "unknown channel pair 'XY'"),  # an unknown pair outranks bad integers,
+        ("EE,0,-2", "negative count -2"),           # and a bad count outranks an order fault
+        (f"EE,0,{2**63}", "exceeds int64"),
+    ])
+    def test_a_row_with_two_faults_names_the_first_check(self, row, message):
+        text = f"# coincidence-histogram v1, bin_width_s=5e-10\nEE,1,3\n{row}\n"
+        with pytest.raises(HistogramFormatError, match=message) as excinfo:
+            ingest_histogram(text)
+        assert excinfo.value.line == 3
+
     def test_non_monotone_bins_rejected(self):
         text = "# coincidence-histogram v1, bin_width_s=5e-10\nEE,1,3\nEE,0,2\n"
         with pytest.raises(HistogramFormatError) as excinfo:
@@ -809,6 +820,14 @@ class TestIngestMemory:
         peak, error = self.traced_peak(text)
         assert error is not None and "span" in str(error)
         assert peak < 200_000, peak  # measured 0.13 MB; 0.31 MB if they were kept
+
+    def test_over_span_file_in_the_row_loop(self):
+        # CRLF line ends send every chunk to the row loop, which must not keep these rows either
+        text = HEADER + "\r\nEE,0,1\r\n" + "".join(f"EE,{MAX_SPAN_BINS + k},{k % 1000}\r\n"
+                                                   for k in range(self.ROWS))
+        peak, error = self.traced_peak(text)
+        assert error is not None and "span" in str(error)
+        assert peak < 150_000, peak  # measured 0.05 MB; 0.25 MB if they were kept
 
     def test_canonical_file_at_the_full_chunk_size(self, monkeypatch):
         monkeypatch.setattr("freqbin.counts._CHUNK_CHARS", _CHUNK_CHARS)

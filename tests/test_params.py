@@ -56,6 +56,17 @@ class TestDispersionProfile:
             with pytest.raises(InvalidInputError, match="finite"):
                 DispersionProfile(per_bin_overrides={2: bad})
 
+    def test_quadratic_coefficient_lies_in_one_period(self):
+        # c and c +- 2 pi give every integer bin the same phase, so [-pi, pi] loses no profile
+        for good in (math.pi, -math.pi, math.pi / 2, -1e-300, 0.0):
+            assert DispersionProfile(quadratic_coefficient=good).quadratic_coefficient == good
+        above = math.nextafter(math.pi, 4.0)
+        for bad in (above, -above, 4.0, -2 * math.pi, 1e15, 1e308, -1e308):
+            with pytest.raises(InvalidInputError, match=r"\[-pi, pi\].*period 2 pi"):
+                DispersionProfile(quadratic_coefficient=bad)
+        # an override is a phase itself, not a coefficient, and stays unbounded
+        assert DispersionProfile(per_bin_overrides={2: 10.0}).phases([2])[0] == 10.0
+
 
 class TestMeasurementModel:
     def test_defaults_match_experiment_scale(self):
