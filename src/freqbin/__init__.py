@@ -7,8 +7,8 @@ from .bell import (ChshReport, SettingQuad, chsh_finite, chsh_ideal, optimize_ge
 from .bessel import bessel_j, jacobi_anger_residual, truncation_order
 from .binspace import (TwoPhotonState, apply_dispersion, apply_modulator, correlated_state,
                        modulation_kernel, parity_probabilities, parity_tables)
-from .closedform import (EffectiveDrive, ProbTable, apply_crosstalk, effective_drive,
-                         ideal_probabilities, phase_average_oracle)
+from .closedform import (ProbTable, apply_crosstalk, effective_drive, ideal_probabilities,
+                         phase_average_oracle)
 from .config import RunConfig, load_config
 from .counts import (CountRecord, Histogram, chsh_estimate, correlator_estimate,
                      crosstalk_for_visibility, emit_histogram, extract_counts, ingest_histogram,
@@ -23,16 +23,15 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BesselDomainError", "BinWindow", "ChshReport", "CountRecord", "DispersionProfile",
-    "EffectiveDrive", "EstimatorError", "FreqbinError", "Histogram", "HistogramFormatError",
-    "InvalidInputError", "MeasurementModel", "ModulationSetting", "OptimizationError",
-    "ProbTable", "ProbabilitySumError", "RunConfig", "SettingQuad", "TruncationCapError",
-    "TruncationPolicy", "TwoPhotonState", "WindowBoundError", "apply_crosstalk",
-    "apply_dispersion", "apply_modulator", "bessel_j", "chsh_estimate", "chsh_finite", "chsh_ideal",
-    "correlated_state", "correlator_estimate", "crosstalk_for_visibility",
-    "crosstalk_from_extinction_db", "effective_drive", "emit_histogram", "extract_counts",
-    "ideal_probabilities", "ingest_histogram", "jacobi_anger_residual", "load_config",
-    "modulation_kernel",
+    "EstimatorError", "FreqbinError", "Histogram", "HistogramFormatError", "InvalidInputError",
+    "MeasurementModel", "ModulationSetting", "OptimizationError", "ProbTable",
+    "ProbabilitySumError", "RunConfig", "SettingQuad", "TruncationCapError", "TruncationPolicy",
+    "TwoPhotonState", "WindowBoundError", "apply_crosstalk", "apply_dispersion", "apply_modulator",
+    "bessel_j", "chsh_estimate", "chsh_finite", "chsh_ideal", "correlated_state",
+    "correlator_estimate", "crosstalk_for_visibility", "crosstalk_from_extinction_db",
+    "effective_drive", "emit_histogram", "extract_counts", "ideal_probabilities",
+    "ingest_histogram", "jacobi_anger_residual", "load_config", "modulation_kernel",
     "optimize_general", "optimize_symmetric", "chsh_optimal_quad", "parity_probabilities",
-    "parity_tables", "phase_average_oracle", "simulate_counts",
-    "symmetric_chsh", "symmetric_quad", "synthesize_histogram", "truncation_order", "visibility",
+    "parity_tables", "phase_average_oracle", "simulate_counts", "symmetric_chsh", "symmetric_quad",
+    "synthesize_histogram", "truncation_order", "visibility",
 ]

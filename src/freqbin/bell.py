@@ -1,7 +1,7 @@
 """CHSH correlator evaluation and optimization over modulation settings.
 
 In the closed-form model every correlator is E_ij = J_0(2 D_ij) with D_ij the
-effective drive of the setting pair, so S = E00 + E01 + E10 - E11. The
+setting pair's effective drive amplitude, so S = E00 + E01 + E10 - E11. The
 symmetric reduction D00 = D01 = D10 = D11 / 3 collapses the search to one
 amplitude, S(c) = 3 J_0(4c) - J_0(12c); the general 8-parameter search is kept
 as a numerical check of that structure. It runs multi-start L-BFGS-B on the
@@ -28,7 +28,7 @@ import numpy as np
 
 from .bessel import X_MAX, bessel_j
 from .binspace import parity_tables
-from .closedform import EffectiveDrive, effective_drive
+from .closedform import effective_drive
 from .errors import InvalidInputError, OptimizationError
 from .params import DispersionProfile, MeasurementModel, ModulationSetting, TruncationPolicy, is_int
 
@@ -82,11 +82,11 @@ class SettingQuad:
 
 @dataclass(frozen=True)
 class ChshReport:
-    """Four correlators E_ij (order 00, 01, 10, 11), their drives, and S."""
+    """Four correlators E_ij (order 00, 01, 10, 11), their drive amplitudes, and S."""
 
     correlators: tuple[float, float, float, float]
     s_value: float
-    drives: tuple[EffectiveDrive, EffectiveDrive, EffectiveDrive, EffectiveDrive]
+    drives: tuple[float, float, float, float]
 
     def __post_init__(self):
         if any(abs(e) > 1.0 + 1e-9 for e in self.correlators):
@@ -120,7 +120,7 @@ def symmetric_chsh(c: float) -> float:
 def chsh_ideal(quad: SettingQuad) -> ChshReport:
     """Closed-form CHSH report for the given settings."""
     drives = tuple(effective_drive(sa, sb) for sa, sb in quad.pairs())
-    correlators = tuple(bessel_j(0, 2.0 * dr.d) for dr in drives)
+    correlators = tuple(bessel_j(0, 2.0 * d) for d in drives)
     return ChshReport.from_correlators(correlators, drives)
 
 
@@ -190,9 +190,7 @@ def optimize_general(initial: SettingQuad,
     starts[0] = (initial.a0.amplitude, initial.a1.amplitude, initial.b0.amplitude,
                  initial.b1.amplitude, initial.a0.phase, initial.a1.phase,
                  initial.b0.phase, initial.b1.phase)
-    for start in starts[1:]:
-        start[:4] = rng.uniform(0.0, start_amplitude_max, 4)
-        start[4:] = rng.uniform(0.0, two_pi, 4)
+    starts[1:] = rng.uniform(0.0, [start_amplitude_max] * 4 + [two_pi] * 4, (restarts - 1, 8))
 
     lower = np.array([0.0] * 4 + [-two_pi] * 4)
     upper = np.array([amplitude_bound] * 4 + [2.0 * two_pi] * 4)

@@ -317,18 +317,18 @@ def _cmd_chsh_optimize(args, config: RunConfig) -> int:
         zero = ModulationSetting(0.0, 0.0)
         initial = SettingQuad(zero, zero, zero, zero)
         quad, report = optimize_general(initial, args.amplitude_bound, args.restarts, config.seed)
-        d00, d11 = report.drives[0].d, report.drives[3].d
+        d00, d11 = report.drives[0], report.drives[3]
         ratio = d11 / d00 if d00 else float("nan")
         print(f"general optimum:   S = {report.s_value:.6f}  drives = "
-              f"({', '.join(f'{dr.d:.4f}' for dr in report.drives)})  D11/D00 = {ratio:.4f}")
+              f"({', '.join(f'{d:.4f}' for d in report.drives)})  D11/D00 = {ratio:.4f}")
         if report.s_value < s_star - 1e-9:  # e.g. --restarts 1: the zero start is stationary
             print(f"warning: the general search stopped at S = {report.s_value:.6f}, below the "
                   f"symmetric S = {s_star:.6f}; more --restarts may reach it", file=sys.stderr)
         results["general"] = {"quad": _quad_dict(quad), "s": report.s_value,
-                              "drives": [dr.d for dr in report.drives]}
+                              "drives": list(report.drives)}
         lines.append(f"s_general,{_fmt(report.s_value)}")
-        lines.extend(f"d_{label},{_fmt(dr.d)}"
-                     for label, dr in zip(("00", "01", "10", "11"), report.drives))
+        lines.extend(f"d_{label},{_fmt(d)}"
+                     for label, d in zip(("00", "01", "10", "11"), report.drives))
     parameters = {"interval": list(args.interval), "tolerance": args.tolerance,
                   "general": args.general, "restarts": args.restarts,
                   "amplitude_bound": args.amplitude_bound}

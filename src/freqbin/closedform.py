@@ -1,8 +1,9 @@
 """Infinite-comb closed-form model of the parity coincidence statistics.
 
 The two modulator drives (a, alpha) and (b, beta) enter the joint statistics
-only through the phasor sum D e^{i Delta} = a e^{i alpha} + b e^{i beta}.
-The four parity-resolved coincidence probabilities are then
+only through the amplitude D = |a e^{i alpha} + b e^{i beta}| of their phasor
+sum; its phase drops out. The four parity-resolved coincidence probabilities
+are then
 
     P(E,E) = P(O,O) = (1 + J_0(2D)) / 4
     P(E,O) = P(O,E) = (1 - J_0(2D)) / 4
@@ -29,22 +30,10 @@ import numpy as np
 
 from .bessel import bessel_j
 from .errors import InvalidInputError
-from .params import ModulationSetting, canonical_phase
+from .params import ModulationSetting
 
 _PROB_SLACK = 1e-9
 PROB_NAMES = ("p_ee", "p_eo", "p_oe", "p_oo")  # ProbTable's entries, in order
-
-
-@dataclass(frozen=True)
-class EffectiveDrive:
-    """Combined modulation of both arms: amplitude d >= 0 and phase delta in [0, 2*pi)."""
-
-    d: float
-    delta: float
-
-    def __post_init__(self):
-        if self.d < 0.0:
-            raise InvalidInputError("effective drive amplitude must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -74,22 +63,18 @@ class ProbTable:
         return self.p_ee - self.p_eo - self.p_oe + self.p_oo
 
 
-def effective_drive(a_setting: ModulationSetting, b_setting: ModulationSetting) -> EffectiveDrive:
-    """Phasor sum of the two drives; delta = 0 by convention when d vanishes."""
+def effective_drive(a_setting: ModulationSetting, b_setting: ModulationSetting) -> float:
+    """Effective drive amplitude D >= 0: the modulus of the two drives' phasor sum."""
     a, alpha = a_setting.amplitude, a_setting.phase
     b, beta = b_setting.amplitude, b_setting.phase
-    d_sq = a * a + b * b + 2.0 * a * b * math.cos(alpha - beta)
-    d = math.sqrt(max(d_sq, 0.0))
-    if d == 0.0:
-        return EffectiveDrive(0.0, 0.0)
-    delta = math.atan2(a * math.sin(alpha) + b * math.sin(beta),
-                       a * math.cos(alpha) + b * math.cos(beta))
-    return EffectiveDrive(d, canonical_phase(delta))
+    return math.sqrt(max(a * a + b * b + 2.0 * a * b * math.cos(alpha - beta), 0.0))
 
 
-def ideal_probabilities(drive: EffectiveDrive) -> ProbTable:
-    """Closed-form parity coincidence table; depends on the drive amplitude only."""
-    j0 = bessel_j(0, 2.0 * drive.d)
+def ideal_probabilities(d: float) -> ProbTable:
+    """Closed-form parity coincidence table at effective drive amplitude d."""
+    if not d >= 0.0:  # also rejects nan
+        raise InvalidInputError("effective drive amplitude must be >= 0")
+    j0 = bessel_j(0, 2.0 * d)
     same = 0.25 * (1.0 + j0)
     cross = 0.25 * (1.0 - j0)
     return ProbTable(same, cross, cross, same)

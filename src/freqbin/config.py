@@ -75,12 +75,14 @@ class RunConfig:
                 overrides[bin_index] = float(_number(name, value))
             measurement = {key: _number(f"measurement.{key}", value)
                            for key, value in data.get("measurement", {}).items()}
+            truncation = {key: _number(f"truncation.{key}", value, integer=key == "max_order")
+                          for key, value in data.get("truncation", {}).items()}
             return cls(
                 rf_frequency=float(_number("rf_frequency", data.get("rf_frequency", base.rf_frequency))),
                 center_frequency=float(_number("center_frequency", data.get("center_frequency",
                                                                             base.center_frequency))),
                 bins=tuple(_number("each bin", b, integer=True) for b in data.get("bins", base.bins)),
-                truncation=TruncationPolicy(**data.get("truncation", {})),
+                truncation=TruncationPolicy(**truncation),
                 measurement=MeasurementModel(**measurement),
                 dispersion=DispersionProfile(
                     quadratic_coefficient=float(_number("dispersion.quadratic_coefficient",

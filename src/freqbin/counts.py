@@ -169,8 +169,7 @@ def simulate_counts(probs: ProbTable, model: MeasurementModel, seed: int | np.ra
     """
     accidental_mean, means = _count_means(probs, model)
     rng = np.random.default_rng(seed)
-    drawn = [int(rng.poisson(m)) for m in means]
-    return CountRecord(*drawn, setting_labels=labels, duration=model.duration,
+    return CountRecord(*rng.poisson(means).tolist(), setting_labels=labels, duration=model.duration,
                        background_per_outcome=(accidental_mean,) * 4)
 
 
@@ -588,12 +587,17 @@ def crosstalk_for_visibility(amplitude: float, target: float) -> float:
     u = chi * (1 - chi) at drive cancellation up to the mixed table value
     (1 - (1 - 4u) j) / 4 at phase agreement, with j = J_0(4 * amplitude).
     So V = (1 - j)(1 - 4u) / ((1 - j) + 4u (1 + j)), which falls from 1 at
-    chi = 0 to 0 at chi = 1/2 and inverts in closed form.
+    chi = 0 to 0 at chi = 1/2 and inverts in closed form. Where j rounds
+    to 1 (amplitude below ~3.7e-9) the fringe is flat at every chi, so no
+    chi gives the target and InvalidInputError names the amplitude.
     """
     if not 0.0 < target <= 1.0:
         raise InvalidInputError("target visibility must lie in (0, 1]")
     setting = ModulationSetting(amplitude, 0.0)
     aligned = ideal_probabilities(effective_drive(setting, setting))
+    if aligned.p_eo == 0.0:
+        raise InvalidInputError(f"at amplitude {amplitude!r} J_0(4 * amplitude) rounds to 1: the "
+                                f"fringe is flat and no crosstalk gives visibility {target!r}")
     # in the table's terms 1 - j = 4 p_eo and 1 + j = 4 p_ee
     u = aligned.p_eo * (1.0 - target) / (4.0 * (aligned.p_eo + target * aligned.p_ee))
     return 2.0 * u / (1.0 + math.sqrt(max(1.0 - 4.0 * u, 0.0)))

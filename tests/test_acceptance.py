@@ -52,7 +52,7 @@ def test_criterion_2_optimizers():
     quad, rep = optimize_general(SettingQuad(zero, zero, zero, zero),
                                  amplitude_bound=1.5, restarts=20, seed=2024)
     elapsed = time.perf_counter() - start
-    ratio = rep.drives[3].d / rep.drives[0].d
+    ratio = rep.drives[3] / rep.drives[0]
     ok = (abs(c_star - 0.2318) <= 1e-3
           and rep.s_value >= 2.565
           and abs(ratio - 3.0) <= 0.03

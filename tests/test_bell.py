@@ -90,7 +90,7 @@ class TestOptimizeSymmetric:
         c_star, s_star = optimize_symmetric((0.0, 0.5), 1e-6)
         report = chsh_ideal(symmetric_quad(c_star))
         assert abs(report.s_value - s_star) <= 1e-9
-        ds = [drive.d for drive in report.drives]
+        ds = report.drives
         assert abs(ds[3] - 3 * ds[0]) < 1e-12
 
     def test_stable_under_interval_perturbation(self):
@@ -131,7 +131,7 @@ class TestOptimizeGeneral:
     def test_from_known_optimum_converges_to_drive_structure(self):
         quad, report = optimize_general(chsh_optimal_quad(), 1.5, restarts=3, seed=5)
         assert abs(report.s_value - S_MAX_THEORY) <= 1e-4
-        ds = [drive.d for drive in report.drives]
+        ds = report.drives
         for d in ds[:3]:
             assert abs(d - 0.4637) <= 2e-3
         assert abs(ds[3] - 3 * ds[0]) <= 1e-2
@@ -140,7 +140,7 @@ class TestOptimizeGeneral:
     def test_multistart_escapes_zero_ridge(self):
         quad, report = optimize_general(zero_quad(), 1.5, restarts=20, seed=11)
         assert report.s_value >= S_MAX_THEORY - 1e-3
-        ds = [drive.d for drive in report.drives]
+        ds = report.drives
         assert abs(ds[3] / ds[0] - 3.0) <= 1e-2
 
     def test_preconditions(self):
@@ -381,7 +381,7 @@ class TestGradientSearch:
             for seed in range(20):
                 quad, report = optimize_general(zero_quad(), bound, restarts=20, seed=seed)
                 assert abs(report.s_value - S_STAR) <= 1e-9, (bound, seed)
-                ds = [drive.d for drive in report.drives]
+                ds = report.drives
                 assert abs(ds[3] / ds[0] - 3.0) <= 1e-2
                 assert quad.a0.phase == 0.0
 
@@ -395,6 +395,20 @@ class TestGradientSearch:
             lowest = min(solve.fun for solve in recorded_solves)
             first = next(solve for solve in recorded_solves if solve.fun <= lowest + 1e-12)
             assert quad == quad_from_vector(np.concatenate([first.x[:4], first.x[4:] - first.x[4]]))
+
+    def test_each_restart_starts_at_its_own_draws(self, recorded_solves):
+        # the start stream: after the initial quad, each restart draws its 4
+        # amplitudes on [0, min(bound, 1.5)], then its 4 phases on [0, 2 pi)
+        for bound in (1.5, 12.5):
+            for seed in range(5):
+                recorded_solves.clear()
+                optimize_general(zero_quad(), bound, restarts=20, seed=seed)
+                rng = np.random.default_rng(seed)
+                assert not recorded_solves[0].x0.any()
+                for solve in recorded_solves[1:]:
+                    drawn = np.concatenate([rng.uniform(0.0, min(bound, 1.5), 4),
+                                            rng.uniform(0.0, 2.0 * np.pi, 4)])
+                    assert solve.x0.tobytes() == drawn.tobytes(), (bound, seed)
 
     @pytest.mark.parametrize("bound", [1.5, 3.0, 12.5])
     def test_one_evaluation_per_point_matches_the_jac_true_solve(self, bound, recorded_solves):

@@ -89,6 +89,7 @@ class TestConfig:
         {"dispersion": {"quadratic_coefficient": "0.1"}},
         {"bins": [-2, -1, 0, 1, 2], "dispersion": {"per_bin_overrides": {"2": True}}},
         {"measurement": {"efficiency": True}}, {"bins": []},
+        {"truncation": {"epsilon": "1e-3"}},
     ])
     def test_value_of_the_wrong_type_is_data_error(self, data, tmp_path, capsys):
         path = tmp_path / "config.json"
@@ -98,7 +99,9 @@ class TestConfig:
         assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("data, name", [({"bins": list(np.arange(1, 7))}, "each bin"),
-                                            ({"seed": np.int64(7)}, "seed")])
+                                            ({"seed": np.int64(7)}, "seed"),
+                                            ({"truncation": {"max_order": np.int64(8)}},
+                                             "truncation.max_order")])
     def test_numpy_integer_is_not_a_json_integer(self, data, name):
         # json.dumps cannot write a numpy integer back into a run record
         with pytest.raises(InvalidInputError, match=f"bad config value: {name} must be an integer"):

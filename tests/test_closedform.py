@@ -5,9 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from freqbin import (EffectiveDrive, InvalidInputError, ModulationSetting, ProbTable,
-                     apply_crosstalk, bessel_j, effective_drive, ideal_probabilities,
-                     phase_average_oracle)
+from freqbin import (InvalidInputError, ModulationSetting, ProbTable, apply_crosstalk, bessel_j,
+                     effective_drive, ideal_probabilities, phase_average_oracle)
 
 
 def random_setting(rng, max_amplitude=1.5):
@@ -21,25 +20,22 @@ def max_table_gap(t1, t2):
 
 class TestEffectiveDrive:
     def test_opposite_phases_cancel(self):
-        drive = effective_drive(ModulationSetting(0.6955, 0.8),
-                                ModulationSetting(0.6955, 0.8 + math.pi))
-        assert drive.d == 0.0
-        assert drive.delta == 0.0
+        assert effective_drive(ModulationSetting(0.6955, 0.8),
+                               ModulationSetting(0.6955, 0.8 + math.pi)) == 0.0
 
     def test_collinear_phasors_add(self):
         drive = effective_drive(ModulationSetting(0.31, 0.7), ModulationSetting(0.31, 0.7))
-        assert abs(drive.d - 0.62) < 1e-12
-        assert abs(drive.delta - 0.7) < 1e-12
+        assert abs(drive - 0.62) < 1e-12
 
     def test_antiparallel_amplitude_difference(self):
         drive = effective_drive(ModulationSetting(0.2318, 0.0), ModulationSetting(0.6955, math.pi))
-        assert abs(drive.d - 0.4637) < 1e-12
+        assert abs(drive - 0.4637) < 1e-12
 
     def test_symmetric_under_swap(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             s1, s2 = random_setting(rng), random_setting(rng)
-            assert abs(effective_drive(s1, s2).d - effective_drive(s2, s1).d) < 1e-14
+            assert abs(effective_drive(s1, s2) - effective_drive(s2, s1)) < 1e-14
 
     def test_d_invariant_under_common_phase_shift(self):
         rng = np.random.default_rng(12)
@@ -48,36 +44,32 @@ class TestEffectiveDrive:
             shift = float(rng.uniform(0.0, 2.0 * math.pi))
             shifted = effective_drive(ModulationSetting(s1.amplitude, s1.phase + shift),
                                       ModulationSetting(s2.amplitude, s2.phase + shift))
-            assert abs(shifted.d - effective_drive(s1, s2).d) < 1e-12
+            assert abs(shifted - effective_drive(s1, s2)) < 1e-12
 
     def test_negative_amplitude_rejected(self):
-        with pytest.raises(InvalidInputError):
-            EffectiveDrive(-0.1, 0.0)
+        for d in (-0.1, math.nan):
+            with pytest.raises(InvalidInputError, match="effective drive amplitude must be >= 0"):
+                ideal_probabilities(d)
 
 
 class TestIdealProbabilities:
     def test_zero_drive_table(self):
-        table = ideal_probabilities(EffectiveDrive(0.0, 0.0))
+        table = ideal_probabilities(0.0)
         assert table.as_tuple() == (0.5, 0.0, 0.0, 0.5)
 
     def test_low_drive_table_one_value(self):
-        table = ideal_probabilities(EffectiveDrive(0.4636, 0.0))
+        table = ideal_probabilities(0.4636)
         assert abs(table.p_ee - 0.25 * (1.0 + bessel_j(0, 0.9272))) < 1e-15
         assert abs(table.p_ee - 0.449) < 2e-4
 
     def test_high_drive_correlator(self):
-        table = ideal_probabilities(EffectiveDrive(1.391, 0.0))
+        table = ideal_probabilities(1.391)
         assert abs(table.correlator - (-0.178)) <= 1e-3
-
-    def test_depends_only_on_amplitude(self):
-        for delta in (0.0, 1.0, math.pi, 5.5):
-            assert (ideal_probabilities(EffectiveDrive(0.83, delta)).as_tuple()
-                    == ideal_probabilities(EffectiveDrive(0.83, 0.0)).as_tuple())
 
     def test_cross_terms_equal_and_correlator_bounded(self):
         rng = np.random.default_rng(13)
         for _ in range(100):
-            table = ideal_probabilities(EffectiveDrive(float(rng.uniform(0, 3)), 0.0))
+            table = ideal_probabilities(float(rng.uniform(0, 3)))
             assert table.p_eo == table.p_oe
             assert -0.5 <= table.correlator <= 1.0
             assert abs(table.total - 1.0) < 1e-12

@@ -1023,6 +1023,12 @@ class TestCrosstalkCalibration:
     def test_zero_crosstalk_for_unit_target(self):
         assert crosstalk_for_visibility(0.6955, 1.0) <= 1e-10
 
+    def test_flat_fringe_rejected(self):
+        # J_0(4a) rounds to 1, so P(E,O) = 0 and every crosstalk gives visibility 0
+        for amplitude in (0.0, 1e-9):
+            with pytest.raises(InvalidInputError, match=f"amplitude {amplitude!r}"):
+                crosstalk_for_visibility(amplitude, 0.5)
+
     def test_closed_form_matches_bisection_oracle(self):
         rng = random.Random(85)
         for _ in range(1000):
