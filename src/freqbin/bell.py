@@ -82,20 +82,20 @@ class SettingQuad:
 
 @dataclass(frozen=True)
 class ChshReport:
-    """Four correlators E_ij (order 00, 01, 10, 11), their drive amplitudes, and S."""
+    """Four correlators E_ij (order 00, 01, 10, 11) and their drive amplitudes; S derives from them."""
 
     correlators: tuple[float, float, float, float]
-    s_value: float
     drives: tuple[float, float, float, float]
 
     def __post_init__(self):
         if any(abs(e) > 1.0 + 1e-9 for e in self.correlators):
             raise InvalidInputError(f"correlators outside [-1, 1]: {self.correlators}")
 
-    @classmethod
-    def from_correlators(cls, correlators, drives) -> ChshReport:
-        e00, e01, e10, e11 = correlators
-        return cls(tuple(correlators), e00 + e01 + e10 - e11, tuple(drives))
+    @property
+    def s_value(self) -> float:
+        """S = E00 + E01 + E10 - E11."""
+        e00, e01, e10, e11 = self.correlators
+        return e00 + e01 + e10 - e11
 
 
 def chsh_optimal_quad() -> SettingQuad:
@@ -120,8 +120,7 @@ def symmetric_chsh(c: float) -> float:
 def chsh_ideal(quad: SettingQuad) -> ChshReport:
     """Closed-form CHSH report for the given settings."""
     drives = tuple(effective_drive(sa, sb) for sa, sb in quad.pairs())
-    correlators = tuple(bessel_j(0, 2.0 * d) for d in drives)
-    return ChshReport.from_correlators(correlators, drives)
+    return ChshReport(tuple(bessel_j(0, 2.0 * d) for d in drives), drives)
 
 
 def optimize_symmetric(search_interval: tuple[float, float] = (0.0, 0.5),
@@ -313,5 +312,5 @@ def chsh_finite(quad: SettingQuad,
                 policy: TruncationPolicy | None = None) -> ChshReport:
     """CHSH report from the finite-bin simulation of a uniform correlated state."""
     tables = parity_tables(bins, quad.pairs(), model, dispersion, policy)
-    drives = [effective_drive(setting_a, setting_b) for setting_a, setting_b in quad.pairs()]
-    return ChshReport.from_correlators([table.correlator for table in tables], drives)
+    return ChshReport(tuple(table.correlator for table in tables),
+                      tuple(effective_drive(sa, sb) for sa, sb in quad.pairs()))

@@ -23,7 +23,7 @@ import cmath
 import math
 
 from .errors import BesselDomainError, InvalidInputError, TruncationCapError
-from .params import TruncationPolicy
+from .params import TruncationPolicy, is_int
 
 X_MAX = 50.0          # validated accuracy domain
 _SERIES_X_MAX = 5.0   # largest series term is I_0(5) ~ 27, so cancellation is harmless
@@ -40,6 +40,8 @@ def bessel_j(order: int, x: float) -> float:
     Negative orders and arguments are reduced through the reflection
     identities J_{-p}(x) = (-1)**p J_p(x) and J_p(-x) = (-1)**p J_p(x).
     """
+    if not is_int(order):
+        raise InvalidInputError(f"Bessel order must be an integer, got {order!r}")
     _check_domain(x)
     n = abs(int(order))
     sign = 1.0
@@ -126,9 +128,11 @@ def truncation_order(c: float, policy: TruncationPolicy = TruncationPolicy()) ->
 def _sideband_amplitudes(c: float, policy: TruncationPolicy) -> list[float]:
     """J_0(c) .. J_P(c) for the truncation order P of truncation_order.
 
-    The tail is accumulated directly from small terms upward, so tolerances
-    far below double-precision resolution of (1 - partial sum) stay meaningful.
-    One Miller pass up to order n gives the amplitudes. n is where the bound
+    One Miller pass up to order n gives the amplitudes. One pass down from n
+    then adds the tail's terms 2 J_p**2, smallest first, for as long as the
+    tail stays within epsilon**2, so tolerances far below the double-precision
+    resolution of (1 - partial sum) stay meaningful; past max_order it adds
+    on down to the cap for the cap error's residual. n is where the bound
     |J_n(c)| <= (c/2)**n / n! puts J_n**2 1e-20 below both the tolerance and
     the 1e-16 resolution of the normalization sum; past n > c the bound halves
     per order, so the orders above n cannot move the tail test or the kept
@@ -148,17 +152,17 @@ def _sideband_amplitudes(c: float, policy: TruncationPolicy) -> list[float]:
     # a pass seeded just above n is inexact only in its top orders; when the
     # bound is cut at top, every order up to it must be exact
     js = _miller(n, c, 1 if n < top else _MILLER_PAD)
-    tails = [0.0] * (n + 1)  # tails[P] = 2 * sum_{P < p <= n} J_p^2
-    acc = 0.0
-    for p in range(n, 0, -1):
-        acc += 2.0 * js[p] * js[p]
-        tails[p - 1] = acc
-    for order in range(min(policy.max_order, n) + 1):
-        if tails[order] <= tol:
-            return js[:order + 1]
+    order, tail = n, 0.0  # tail = 2 * sum_{order < p <= n} J_p^2
+    while order and tail + 2.0 * js[order] * js[order] <= tol:
+        tail += 2.0 * js[order] * js[order]
+        order -= 1
+    if order <= policy.max_order:
+        return js[:order + 1]
+    for p in range(order, policy.max_order, -1):
+        tail += 2.0 * js[p] * js[p]
     raise TruncationCapError(
-        f"residual {tails[policy.max_order]:.3e} above {tol:.3e} at order cap {policy.max_order}",
-        residual=tails[policy.max_order],
+        f"residual {tail:.3e} above {tol:.3e} at order cap {policy.max_order}",
+        residual=tail,
         order=policy.max_order,
     )
 

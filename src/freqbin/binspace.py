@@ -49,7 +49,7 @@ from .bessel import _sideband_amplitudes
 from .closedform import ProbTable, apply_crosstalk
 from .errors import InvalidInputError, ProbabilitySumError, WindowBoundError
 from .params import (MAX_BINS, BinWindow, DispersionProfile, MeasurementModel, ModulationSetting,
-                     TruncationPolicy)
+                     TruncationPolicy, is_int)
 
 DEFAULT_BIN_BOUND = 512  # |bin| bound of the dense K x K path
 _ARMS = ("A", "B")
@@ -93,11 +93,23 @@ def _check_arm(arm: str) -> None:
 
 
 def _alice_bins(bins_a) -> tuple[np.ndarray, BinWindow]:
-    """The bins as a sorted int64 array and the window they span."""
+    """The bins as a sorted int64 array and the window they span; each bin must be an integer."""
+    values = bins_a if isinstance(bins_a, (list, tuple, range)) else list(bins_a)
     try:
-        bins = np.fromiter(bins_a, dtype=np.int64)
+        bins = np.fromiter(values, dtype=np.int64)
+        total = 0 if isinstance(values, range) else sum(values)  # a range holds only integers
     except OverflowError:
         raise WindowBoundError("bin indices must fit in int64") from None
+    except (TypeError, ValueError):  # a bin numpy or sum cannot read as a number
+        total = None
+    # The sum is an integer only if every bin is one, and it costs a few us at
+    # 801 bins, where a type check per bin costs ~20. Bools add as integers,
+    # so the bins that read as 0 or 1 (as uint64, every other bin reads 2 or
+    # more) are checked one by one.
+    if not is_int(total) or not all(is_int(values[i])
+                                    for i in (bins.view(np.uint64) < 2).nonzero()[0].tolist()):
+        bad = next((value for value in values if not is_int(value)), None)
+        raise InvalidInputError(f"bins must be integers, got {bad!r}")
     bins.sort()
     if not bins.size:
         raise InvalidInputError("need at least one bin")
@@ -323,9 +335,7 @@ def parity_tables(bins_a,
             raise ProbabilitySumError(
                 f"parity table sums to {table.total!r}, outside [{low!r}, {high!r}] "
                 f"for truncation epsilon {policy.epsilon!r}")
-        tables.append(table)
-    if model is not None:
-        tables = [apply_crosstalk(table, model.crosstalk) for table in tables]
+        tables.append(table if model is None else apply_crosstalk(table, model.crosstalk))
     return tables
 
 

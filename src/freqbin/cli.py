@@ -10,6 +10,7 @@ call time.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -210,15 +211,6 @@ def _emit_report(out, out_format, payload: dict, csv_lines: list[str]) -> None:
         _write(out, _json_text(payload))
 
 
-def _setting_dict(setting: ModulationSetting) -> dict:
-    return {"amplitude": setting.amplitude, "phase": setting.phase}
-
-
-def _quad_dict(quad: SettingQuad) -> dict:
-    return {"a0": _setting_dict(quad.a0), "a1": _setting_dict(quad.a1),
-            "b0": _setting_dict(quad.b0), "b1": _setting_dict(quad.b1)}
-
-
 def _closed_form_tables(pairs, crosstalk: float) -> list:
     """Closed-form parity table of each setting pair, with interleaver crosstalk."""
     return [apply_crosstalk(ideal_probabilities(effective_drive(sa, sb)), crosstalk)
@@ -301,7 +293,7 @@ def _cmd_chsh_eval(args, config: RunConfig) -> int:
                "experiment": {"c_table": list(c_table), "s": s, "sigma_s": sigma_s},
                "records": [rec.to_json_dict() for rec in records]}
     _emit_report(args.out, args.out_format,
-                 _record("chsh-eval", config, _quad_dict(quad), results), lines)
+                 _record("chsh-eval", config, dataclasses.asdict(quad), results), lines)
     return 0
 
 
@@ -324,7 +316,7 @@ def _cmd_chsh_optimize(args, config: RunConfig) -> int:
         if report.s_value < s_star - 1e-9:  # e.g. --restarts 1: the zero start is stationary
             print(f"warning: the general search stopped at S = {report.s_value:.6f}, below the "
                   f"symmetric S = {s_star:.6f}; more --restarts may reach it", file=sys.stderr)
-        results["general"] = {"quad": _quad_dict(quad), "s": report.s_value,
+        results["general"] = {"quad": dataclasses.asdict(quad), "s": report.s_value,
                               "drives": list(report.drives)}
         lines.append(f"s_general,{_fmt(report.s_value)}")
         lines.extend(f"d_{label},{_fmt(d)}"
@@ -350,7 +342,7 @@ def _cmd_chsh_finite(args, config: RunConfig) -> int:
     results = {"finite": {"correlators": list(report.correlators), "s": report.s_value},
                "ideal": {"correlators": list(ideal.correlators), "s": ideal.s_value}}
     _emit_report(args.out, args.out_format,
-                 _record("chsh-finite", config, _quad_dict(quad), results), lines)
+                 _record("chsh-finite", config, dataclasses.asdict(quad), results), lines)
     return 0
 
 
@@ -374,7 +366,7 @@ def _cmd_chsh_montecarlo(args, config: RunConfig) -> int:
     lines = ["quantity,value", f"ensembles,{args.ensembles}", f"s_mean,{_fmt(mean)}",
              f"s_std,{_fmt(std)}", f"mean_sigma_s,{_fmt(mean_sigma)}"]
     _emit_report(args.out, args.out_format,
-                 _record("chsh-montecarlo", config, _quad_dict(quad), results), lines)
+                 _record("chsh-montecarlo", config, dataclasses.asdict(quad), results), lines)
     return 0
 
 
@@ -401,7 +393,7 @@ def _cmd_simulate(args, config: RunConfig) -> int:
         _write(out_dir / name, text)
     written = list(outputs)
     run_path = out_dir / "simulate.run.json"
-    _write(run_path, _json_text(_record("simulate", config, _quad_dict(quad),
+    _write(run_path, _json_text(_record("simulate", config, dataclasses.asdict(quad),
                                         {"files": written,
                                          "peak_window": list(DEFAULT_PEAK_WINDOW),
                                          "background_window": list(DEFAULT_BACKGROUND_WINDOW)})))

@@ -27,7 +27,7 @@ import numpy as np
 from .bell import PAIR_LABELS
 from .closedform import ProbTable, effective_drive, ideal_probabilities
 from .errors import EstimatorError, HistogramFormatError, InvalidInputError
-from .params import MeasurementModel, ModulationSetting
+from .params import MeasurementModel, ModulationSetting, is_int
 
 OUTCOMES = ("EE", "EO", "OE", "OO")
 
@@ -168,7 +168,7 @@ def simulate_counts(probs: ProbTable, model: MeasurementModel, seed: int | np.ra
     an int seed gives the same record every time.
     """
     accidental_mean, means = _count_means(probs, model)
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     return CountRecord(*rng.poisson(means).tolist(), setting_labels=labels, duration=model.duration,
                        background_per_outcome=(accidental_mean,) * 4)
 
@@ -186,9 +186,11 @@ def simulate_chsh_ensembles(tables, model: MeasurementModel, seed: int | np.rand
     tables = list(tables)
     if len(tables) != 4:
         raise InvalidInputError("simulate_chsh_ensembles needs exactly 4 tables (00, 01, 10, 11)")
+    if not is_int(ensembles) or ensembles < 0:
+        raise InvalidInputError(f"ensembles must be an integer >= 0, got {ensembles!r}")
     backgrounds, means = zip(*(_count_means(probs, model) for probs in tables))
     background = np.array(backgrounds)[:, np.newaxis]  # one accidental mean per setting pair
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     s_values = np.empty(ensembles)
     sigmas = np.empty(ensembles)
     for start in range(0, ensembles, ENSEMBLE_CHUNK):
@@ -209,6 +211,8 @@ def synthesize_histogram(probs: ProbTable, model: MeasurementModel,
     seed is an int, or a Generator that the draw continues; an int seed
     gives the same histogram every time.
     """
+    if not is_int(span_bins):
+        raise InvalidInputError(f"span_bins must be an integer, got {span_bins!r}")
     if span_bins <= _PEAK_BINS:
         raise InvalidInputError("span must exceed the peak width")
     start = -span_bins // 2
@@ -217,7 +221,7 @@ def synthesize_histogram(probs: ProbTable, model: MeasurementModel,
     signal_scale = model.duration * model.efficiency * model.pair_rate
     signal_means = [signal_scale * p for p in probs.as_tuple()]
     _check_poisson_means(signal_means + [accidental_per_bin])
-    rng = np.random.default_rng(seed)
+    rng = _generator(seed)
     counts: dict[str, np.ndarray] = {}
     for outcome, mean in zip(OUTCOMES, signal_means):
         true_total = int(rng.poisson(mean))
@@ -226,6 +230,13 @@ def synthesize_histogram(probs: ProbTable, model: MeasurementModel,
         arr[peak_lo:peak_lo + _PEAK_BINS] += spread
         counts[outcome] = arr
     return Histogram(bin_width_s=DEFAULT_BIN_WIDTH_S, start_index=start, counts=counts)
+
+
+def _generator(seed) -> np.random.Generator:
+    """The Generator itself, or a new one from an integer seed >= 0 (bool is not one)."""
+    if not (isinstance(seed, np.random.Generator) or is_int(seed) and seed >= 0):
+        raise InvalidInputError(f"seed must be an integer >= 0, got {seed!r}")
+    return np.random.default_rng(seed)
 
 
 def _count_means(probs: ProbTable, model: MeasurementModel) -> tuple[float, list[float]]:

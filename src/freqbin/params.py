@@ -18,7 +18,7 @@ MAX_BINS = 1_000_000  # widest bin window: parse_bins' ranges and the banded par
 
 def is_int(value) -> bool:
     """True for an integer that is not a bool, such as a JSON integer."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def strict_int(text: str) -> int:

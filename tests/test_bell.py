@@ -7,10 +7,10 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from freqbin import (DispersionProfile, InvalidInputError, MeasurementModel, ModulationSetting,
-                     OptimizationError, SettingQuad, WindowBoundError, chsh_finite, chsh_ideal,
-                     optimize_general, optimize_symmetric, chsh_optimal_quad, symmetric_chsh,
-                     symmetric_quad)
+from freqbin import (ChshReport, DispersionProfile, InvalidInputError, MeasurementModel,
+                     ModulationSetting, OptimizationError, SettingQuad, WindowBoundError,
+                     chsh_finite, chsh_ideal, optimize_general, optimize_symmetric,
+                     chsh_optimal_quad, symmetric_chsh, symmetric_quad)
 from freqbin.bell import _neg_chsh_and_gradients
 
 S_MAX_THEORY = 2.5664949013225584  # 3 J_0(4c*) - J_0(12c*) at the optimal amplitude
@@ -75,6 +75,20 @@ class TestChshIdeal:
             assert abs(report.s_value) <= 4.0
             worst = max(worst, report.s_value)
         assert worst <= S_MAX_THEORY + 1e-6
+
+
+class TestChshReport:
+    def test_s_value_derives_from_the_correlators(self):
+        rng = np.random.default_rng(28)
+        for _ in range(100):
+            e00, e01, e10, e11 = (float(e) for e in rng.uniform(-1.0, 1.0, 4))
+            report = ChshReport((e00, e01, e10, e11), (0.1, 0.2, 0.3, 0.4))
+            assert report.s_value == e00 + e01 + e10 - e11
+
+    @pytest.mark.parametrize("correlators", [(1.1, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, -1.1)])
+    def test_correlator_outside_unit_interval_rejected(self, correlators):
+        with pytest.raises(InvalidInputError, match="correlators outside"):
+            ChshReport(correlators, (0.0, 0.0, 0.0, 0.0))
 
 
 class TestOptimizeSymmetric:

@@ -98,6 +98,16 @@ class TestBesselJ:
     def test_large_order_underflows_to_zero(self):
         assert bessel_j(600, 50.0) == 0.0
 
+    @pytest.mark.parametrize("order", [1.5, 2.0, True, "1", np.float64(1.0), None])
+    def test_non_integer_order_rejected(self, order):
+        # 1.5 once gave J_1, truncated toward zero
+        with pytest.raises(InvalidInputError, match="Bessel order must be an integer"):
+            bessel_j(order, 1.0)
+
+    def test_numpy_integer_orders_accepted(self):
+        for order in (np.int64(3), np.int32(-3), np.uint8(2)):
+            assert bessel_j(order, 1.0) == bessel_j(int(order), 1.0)
+
     def test_domain_errors(self):
         with pytest.raises(BesselDomainError):
             bessel_j(0, 50.0001)
@@ -288,6 +298,17 @@ class TestTruncationOrder:
                 mp.besselj(p, mp.mpf(float(c))) ** 2 for p in range(1, order + 1))
             assert mp.mpf(1) - mp.mpf(1e-24) <= kept <= mp.mpf(1)
 
+    @pytest.mark.parametrize("c, epsilon, order", [
+        (1.9290369775982903, 0.00019528931640591462, 6),
+        (0.17087189561177435, 0.0001467547473606055, 2),
+    ])
+    def test_tail_equal_to_the_tolerance_is_cut(self, c, epsilon, order):
+        # in double precision the tail above the order sums to exactly epsilon**2,
+        # which meets "tail <= epsilon**2"; a strict test would keep one order more
+        tail = 2 * mp.fsum(mp.besselj(p, mp.mpf(c)) ** 2 for p in range(order + 1, order + 60))
+        assert float(tail) == pytest.approx(epsilon * epsilon, rel=1e-12)
+        assert truncation_order(c, TruncationPolicy(epsilon)) == order
+
     def test_cap_error_carries_residual(self):
         with pytest.raises(TruncationCapError) as excinfo:
             truncation_order(45.0)
@@ -325,3 +346,7 @@ class TestJacobiAnger:
     def test_rejects_negative_amplitude(self):
         with pytest.raises(InvalidInputError):
             jacobi_anger_residual(-1.0, 0.0, 3)
+
+    def test_rejects_negative_order_cap(self):
+        with pytest.raises(InvalidInputError, match="order_cap must be >= 0"):
+            jacobi_anger_residual(0.5, 0.1, -1)

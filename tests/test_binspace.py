@@ -110,6 +110,36 @@ class TestCorrelatedState:
         with pytest.raises(InvalidInputError):
             correlated_state([])
 
+    @pytest.mark.parametrize("bins, bad", [
+        ([0.5, 1.5], "0.5"), ([1.7, 2.9, 3.2, 4.0, 5.5, 6.1], "1.7"), ([1, 2.0], "2.0"),
+        (["1", "2", "3", "4", "5", "6"], "'1'"), ([True, 2, 3, 4, 5, 6], "True"), ([False, 1], "False"),
+        ([np.True_, 2], "True"), ([1, None], "None"), ("12", "'1'"), (dict.fromkeys([0.5, 1.5]), "0.5"),
+    ])
+    @pytest.mark.parametrize("reader", [correlated_state,
+                                        lambda bins: chsh_finite(chsh_optimal_quad(), bins)])
+    def test_non_integer_bins_rejected(self, reader, bins, bad):
+        # [0.5, 1.5] once built the window [0, 1], and the six-bin lists of floats,
+        # strings and a bool gave chsh_finite's bins 1..6 value 2.422691202273197
+        with pytest.raises(InvalidInputError, match=f"bins must be integers, got .*{bad}"):
+            reader(bins)
+
+    def test_integer_bins_of_any_kind_accepted(self):
+        want = correlated_state(range(-1, 3))
+        for bins in ([-1, 0, 1, 2], np.arange(-1, 3), [np.int32(-1), np.int64(0), np.uint8(1), 2],
+                     (n for n in range(-1, 3)), {2, 1, 0, -1}):
+            got = correlated_state(bins)
+            assert got.window_a == want.window_a
+            assert np.array_equal(got.amplitudes, want.amplitudes)
+        assert len(parity_tables(range(2**63 - 2, 2**63), [])) == 0
+
+    @pytest.mark.parametrize("amplitudes, leaked_norm, message", [
+        (np.zeros((1, 1)), 0.0, "does not match windows"),
+        (np.zeros((2, 2)), -0.1, "leaked_norm must be >= 0"),
+    ])
+    def test_state_checks_its_table(self, amplitudes, leaked_norm, message):
+        with pytest.raises(InvalidInputError, match=message):
+            TwoPhotonState(BinWindow(0, 1), BinWindow(0, 1), amplitudes, leaked_norm)
+
     def test_unsorted_bins(self):
         state = correlated_state([4, -2, 1])
         assert state.window_a == BinWindow(-2, 4)
@@ -142,6 +172,11 @@ class TestApplyModulator:
         state = correlated_state(range(-3, 4))
         out = apply_modulator(state, "B", ModulationSetting(1.2, 0.3))
         assert abs(out.norm + out.leaked_norm - 1.0) <= 1e-10
+
+    def test_max_window_off_the_spectrum_rejected(self):
+        with pytest.raises(InvalidInputError, match="does not overlap"):
+            apply_modulator(correlated_state([0]), "A", ModulationSetting(0.5),
+                            max_window=BinWindow(100, 101))
 
     @pytest.mark.parametrize("arm", ["A", "B"])
     def test_clipping_accumulates_leaked_norm(self, arm):

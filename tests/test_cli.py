@@ -140,7 +140,7 @@ class TestConfig:
     @pytest.mark.parametrize("text, message", [
         ("1_0,2", "bad bin list"), ("+1,2", "bad bin list"), ("\uff11,\uff12", "bad bin list"),
         ("1,\t2", "bad bin list"), ("\u0661..\u0663", "bad bin range"), ("1.._3", "bad bin range"),
-        ("+1..3", "bad bin range"), ("1..3\u00a0", "bad bin range"),
+        ("+1..3", "bad bin range"), ("1..3\u00a0", "bad bin range"), ("5..3", "bad bin range '5..3'"),
     ])
     def test_parse_bins_rejects_what_int_alone_accepts(self, text, message, capsys):
         with pytest.raises(InvalidInputError, match=message):

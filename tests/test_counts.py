@@ -187,6 +187,36 @@ class TestSimulateCounts:
         with pytest.raises(InvalidInputError, match="needs exactly 4 tables"):
             simulate_chsh_ensembles([CORRELATED] * 3, experiment_model(), 1, 2)
 
+    @pytest.mark.parametrize("draw, message", [
+        (lambda: simulate_counts(CORRELATED, experiment_model(), -1), "seed must be an integer >= 0, got -1"),
+        (lambda: synthesize_histogram(CORRELATED, experiment_model(), -1), "seed must be an integer >= 0"),
+        (lambda: synthesize_histogram(CORRELATED, experiment_model(), 1.5), "seed must be an integer >= 0"),
+        (lambda: simulate_counts(CORRELATED, experiment_model(), True), "seed must be an integer >= 0"),
+        (lambda: simulate_chsh_ensembles([CORRELATED] * 4, experiment_model(), -1, 10),
+         "seed must be an integer >= 0"),
+        (lambda: simulate_chsh_ensembles([CORRELATED] * 4, experiment_model(), 1, -1),
+         "ensembles must be an integer >= 0, got -1"),
+        (lambda: simulate_chsh_ensembles([CORRELATED] * 4, experiment_model(), 1, 2.5),
+         "ensembles must be an integer >= 0, got 2.5"),
+        (lambda: synthesize_histogram(CORRELATED, experiment_model(), 1, span_bins=20.5),
+         "span_bins must be an integer, got 20.5"),
+    ])
+    def test_bad_draw_arguments_rejected(self, draw, message):
+        # each once let numpy's ValueError or TypeError through
+        with pytest.raises(InvalidInputError, match=f"^{message}"):
+            draw()
+
+    def test_generator_and_numpy_integer_seeds_accepted(self):
+        model = experiment_model()
+        assert simulate_counts(CORRELATED, model, np.int64(5)) == simulate_counts(CORRELATED, model, 5)
+        assert (simulate_counts(CORRELATED, model, np.random.default_rng(5))
+                == simulate_counts(CORRELATED, model, 5))
+        first = synthesize_histogram(CORRELATED, model, np.random.default_rng(6))
+        second = synthesize_histogram(CORRELATED, model, 6)
+        assert all(np.array_equal(first.counts[o], second.counts[o]) for o in OUTCOMES)
+        s_values, _ = simulate_chsh_ensembles([CORRELATED] * 4, model, np.random.default_rng(7), 3)
+        assert np.array_equal(s_values, simulate_chsh_ensembles([CORRELATED] * 4, model, 7, 3)[0])
+
     def test_empirical_car_matches_rates(self):
         model = experiment_model(efficiency=1.0, duration=1e6)
         uniform = ProbTable(0.25, 0.25, 0.25, 0.25)
@@ -285,6 +315,10 @@ class TestHistogramFormat:
             ingest_histogram(header + "EE,0.5,1\n")
         with pytest.raises(HistogramFormatError):
             ingest_histogram(header)
+
+    def test_source_of_another_type_rejected(self):
+        with pytest.raises(InvalidInputError, match="cannot read histogram from <class 'int'>"):
+            ingest_histogram(5)
 
     def test_non_utf8_names_line(self):
         data = b"# coincidence-histogram v1, bin_width_s=5e-10\nEE,0,3\nEE,1,\xff\n"
