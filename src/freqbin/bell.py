@@ -32,7 +32,6 @@ from .closedform import effective_drive
 from .errors import InvalidInputError, OptimizationError
 from .params import DispersionProfile, MeasurementModel, ModulationSetting, TruncationPolicy, is_int
 
-PAIR_LABELS = (("A0", "B0"), ("A0", "B1"), ("A1", "B0"), ("A1", "B1"))
 MAX_AMPLITUDE_BOUND = X_MAX / 4.0  # 2D <= 4 * bound must stay in the Bessel domain
 MAX_RESTARTS = 10_000  # each restart is one L-BFGS-B solve, ~0.25 ms in lockstep rounds
 # starts draw amplitudes below this even under a larger bound: the optimum's
@@ -88,7 +87,7 @@ class ChshReport:
     drives: tuple[float, float, float, float]
 
     def __post_init__(self):
-        if any(abs(e) > 1.0 + 1e-9 for e in self.correlators):
+        if any(not abs(e) <= 1.0 + 1e-9 for e in self.correlators):  # also rejects nan
             raise InvalidInputError(f"correlators outside [-1, 1]: {self.correlators}")
 
     @property
@@ -161,14 +160,14 @@ def check_general_search(amplitude_bound: float, restarts: int) -> None:
         raise InvalidInputError(f"restarts must be at most {MAX_RESTARTS}, got {restarts}")
 
 
-def optimize_general(initial: SettingQuad,
-                     amplitude_bound: float = 1.5,
+def optimize_general(amplitude_bound: float = 1.5,
                      restarts: int = 20,
                      seed: int = 0) -> tuple[SettingQuad, ChshReport]:
     """Seeded multi-start L-BFGS-B on the analytic gradient of S over all 8 setting parameters.
 
-    The first start is initial, the other restarts - 1 are uniform draws of
-    amplitudes in [0, min(amplitude_bound, 1.5)] and phases in [0, 2 pi).
+    The first start is the zero quad, every amplitude and phase 0; the
+    other restarts - 1 are uniform draws of amplitudes in
+    [0, min(amplitude_bound, 1.5)] and phases in [0, 2 pi).
     All restarts run in one _lbfgsb_lockstep call, which evaluates the
     points its live restarts ask for in one batched call per round. Reports
     the quad of the first restart whose S lies within 1e-12 of the best
@@ -185,10 +184,7 @@ def optimize_general(initial: SettingQuad,
     two_pi = 2.0 * np.pi
     start_amplitude_max = min(amplitude_bound, _START_AMPLITUDE_MAX)
     rng = np.random.default_rng(seed)
-    starts = np.empty((restarts, 8))
-    starts[0] = (initial.a0.amplitude, initial.a1.amplitude, initial.b0.amplitude,
-                 initial.b1.amplitude, initial.a0.phase, initial.a1.phase,
-                 initial.b0.phase, initial.b1.phase)
+    starts = np.zeros((restarts, 8))
     starts[1:] = rng.uniform(0.0, [start_amplitude_max] * 4 + [two_pi] * 4, (restarts - 1, 8))
 
     lower = np.array([0.0] * 4 + [-two_pi] * 4)

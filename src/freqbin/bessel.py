@@ -19,7 +19,6 @@ started just above the order its tail test needs.
 
 from __future__ import annotations
 
-import cmath
 import math
 
 from .errors import BesselDomainError, InvalidInputError, TruncationCapError
@@ -165,19 +164,3 @@ def _sideband_amplitudes(c: float, policy: TruncationPolicy) -> list[float]:
         residual=tail,
         order=policy.max_order,
     )
-
-
-def jacobi_anger_residual(c: float, theta: float, order_cap: int) -> float:
-    """|exp(-i c cos(theta)) - sum_{|p| <= cap} J_p(c) exp(i p (theta - pi/2))|.
-
-    Test oracle for the sideband expansion of the modulator phase factor.
-    """
-    if c < 0.0:
-        raise InvalidInputError("modulation amplitude must be >= 0")
-    if order_cap < 0:
-        raise InvalidInputError("order_cap must be >= 0")
-    lhs = cmath.exp(-1j * c * math.cos(theta))
-    acc = 0j
-    for p in range(-order_cap, order_cap + 1):
-        acc += bessel_j(p, c) * cmath.exp(1j * p * (theta - 0.5 * math.pi))
-    return abs(lhs - acc)

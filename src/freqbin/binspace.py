@@ -41,6 +41,7 @@ and the only path that clips to a max_window and accounts leaked norm.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,21 +94,25 @@ def _check_arm(arm: str) -> None:
 
 
 def _alice_bins(bins_a) -> tuple[np.ndarray, BinWindow]:
-    """The bins as a sorted int64 array and the window they span; each bin must be an integer."""
+    """The bins as a sorted int64 array and the window they span; each bin must be an integer.
+
+    A bin that is not an integer raises InvalidInputError, one past int64
+    WindowBoundError; when the bins hold both, the first of them in the
+    bins' order decides.
+    """
     values = bins_a if isinstance(bins_a, (list, tuple, range)) else list(bins_a)
+    # array("q") reads each bin through __index__, which floats, strings, None,
+    # numpy bools and numpy floats lack. Python bools have it, so the bins that
+    # read as 0 or 1 (as uint64, every other bin reads 2 or more) are checked
+    # one by one.
     try:
-        bins = np.fromiter(values, dtype=np.int64)
-        total = 0 if isinstance(values, range) else sum(values)  # a range holds only integers
+        bins = np.frombuffer(array("q", values), dtype=np.int64)
     except OverflowError:
         raise WindowBoundError("bin indices must fit in int64") from None
-    except (TypeError, ValueError):  # a bin numpy or sum cannot read as a number
-        total = None
-    # The sum is an integer only if every bin is one, and it costs a few us at
-    # 801 bins, where a type check per bin costs ~20. Bools add as integers,
-    # so the bins that read as 0 or 1 (as uint64, every other bin reads 2 or
-    # more) are checked one by one.
-    if not is_int(total) or not all(is_int(values[i])
-                                    for i in (bins.view(np.uint64) < 2).nonzero()[0].tolist()):
+    except TypeError:
+        bins = None
+    if bins is None or not all(is_int(values[i])
+                               for i in (bins.view(np.uint64) < 2).nonzero()[0].tolist()):
         bad = next((value for value in values if not is_int(value)), None)
         raise InvalidInputError(f"bins must be integers, got {bad!r}")
     bins.sort()

@@ -20,12 +20,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bell import (PAIR_LABELS, SettingQuad, check_general_search, chsh_finite, chsh_ideal,
-                   optimize_general, optimize_symmetric)
+from .bell import (SettingQuad, check_general_search, chsh_finite, chsh_ideal, optimize_general,
+                   optimize_symmetric)
 from .binspace import parity_tables
 from .closedform import PROB_NAMES, apply_crosstalk, effective_drive, ideal_probabilities
 from .config import RunConfig, load_config, parse_bins
-from .counts import (DEFAULT_BACKGROUND_WINDOW, DEFAULT_PEAK_WINDOW, chsh_estimate,
+from .counts import (DEFAULT_BACKGROUND_WINDOW, DEFAULT_PEAK_WINDOW, PAIR_LABELS, chsh_estimate,
                      correlator_estimate, emit_histogram, extract_counts, ingest_histogram,
                      simulate_chsh_ensembles, simulate_counts, synthesize_histogram, visibility)
 from .errors import FreqbinError, InvalidInputError
@@ -306,9 +306,7 @@ def _cmd_chsh_optimize(args, config: RunConfig) -> int:
     results = {"symmetric": {"c_star": c_star, "s_star": s_star}}
     lines = ["quantity,value", f"c_star,{_fmt(c_star)}", f"s_star,{_fmt(s_star)}"]
     if args.general:
-        zero = ModulationSetting(0.0, 0.0)
-        initial = SettingQuad(zero, zero, zero, zero)
-        quad, report = optimize_general(initial, args.amplitude_bound, args.restarts, config.seed)
+        quad, report = optimize_general(args.amplitude_bound, args.restarts, config.seed)
         d00, d11 = report.drives[0], report.drives[3]
         ratio = d11 / d00 if d00 else float("nan")
         print(f"general optimum:   S = {report.s_value:.6f}  drives = "

@@ -8,9 +8,6 @@ are then
     P(E,E) = P(O,O) = (1 + J_0(2D)) / 4
     P(E,O) = P(O,E) = (1 - J_0(2D)) / 4
 
-and an independent quadrature oracle reproduces them by averaging the
-effective qubit rotation angle over the inaccessible phase-state label.
-
 These are infinite-comb results: they are the limit of a source spectral
 envelope that varies slowly from bin to bin. A finite state whose envelope
 is smooth on the bin scale approaches them closely, but a sharp uniform
@@ -25,8 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .bessel import bessel_j
 from .errors import InvalidInputError
@@ -77,26 +72,6 @@ def ideal_probabilities(d: float) -> ProbTable:
     j0 = bessel_j(0, 2.0 * d)
     same = 0.25 * (1.0 + j0)
     cross = 0.25 * (1.0 - j0)
-    return ProbTable(same, cross, cross, same)
-
-
-def phase_average_oracle(a_setting: ModulationSetting,
-                         b_setting: ModulationSetting,
-                         quadrature_points: int = 256) -> ProbTable:
-    """Numerically average cos^2 / sin^2 of the summed rotation angle over the phase label.
-
-    Uses an equally spaced midpoint rule on [0, pi]; the integrand is smooth
-    and pi-periodic, so the rule converges spectrally (1e-9 agreement with
-    ideal_probabilities at >= 256 points). Independent of the Bessel-identity
-    route, hence usable as its oracle.
-    """
-    if quadrature_points < 64:
-        raise InvalidInputError("need at least 64 quadrature points")
-    phi = (np.arange(quadrature_points) + 0.5) * (math.pi / quadrature_points)
-    theta = (a_setting.amplitude * np.cos(phi - a_setting.phase)
-             + b_setting.amplitude * np.cos(phi - b_setting.phase))
-    same = 0.5 * float(np.mean(np.cos(theta) ** 2))
-    cross = 0.5 * float(np.mean(np.sin(theta) ** 2))
     return ProbTable(same, cross, cross, same)
 
 

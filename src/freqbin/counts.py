@@ -24,12 +24,12 @@ from itertools import chain
 
 import numpy as np
 
-from .bell import PAIR_LABELS
 from .closedform import ProbTable, effective_drive, ideal_probabilities
 from .errors import EstimatorError, HistogramFormatError, InvalidInputError
 from .params import MeasurementModel, ModulationSetting, is_int
 
 OUTCOMES = ("EE", "EO", "OE", "OO")
+PAIR_LABELS = (("A0", "B0"), ("A0", "B1"), ("A1", "B0"), ("A1", "B1"))  # correlator order
 
 _HEADER_RE = re.compile(r"^#\s*coincidence-histogram v1,\s*bin_width_s=([0-9eE+\-.]+)\s*$")
 

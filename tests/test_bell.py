@@ -85,7 +85,8 @@ class TestChshReport:
             report = ChshReport((e00, e01, e10, e11), (0.1, 0.2, 0.3, 0.4))
             assert report.s_value == e00 + e01 + e10 - e11
 
-    @pytest.mark.parametrize("correlators", [(1.1, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, -1.1)])
+    @pytest.mark.parametrize("correlators", [(1.1, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, -1.1),
+                                             (math.nan, 0.0, 0.0, 0.0)])
     def test_correlator_outside_unit_interval_rejected(self, correlators):
         with pytest.raises(InvalidInputError, match="correlators outside"):
             ChshReport(correlators, (0.0, 0.0, 0.0, 0.0))
@@ -142,33 +143,27 @@ class TestOptimizeSymmetric:
 
 
 class TestOptimizeGeneral:
-    def test_from_known_optimum_converges_to_drive_structure(self):
-        quad, report = optimize_general(chsh_optimal_quad(), 1.5, restarts=3, seed=5)
-        assert abs(report.s_value - S_MAX_THEORY) <= 1e-4
+    def test_multistart_escapes_zero_ridge(self):
+        quad, report = optimize_general(1.5, restarts=20, seed=11)
+        assert report.s_value >= S_MAX_THEORY - 1e-3
         ds = report.drives
         for d in ds[:3]:
             assert abs(d - 0.4637) <= 2e-3
-        assert abs(ds[3] - 3 * ds[0]) <= 1e-2
-        assert quad.a0.phase == 0.0  # gauge fixed
-
-    def test_multistart_escapes_zero_ridge(self):
-        quad, report = optimize_general(zero_quad(), 1.5, restarts=20, seed=11)
-        assert report.s_value >= S_MAX_THEORY - 1e-3
-        ds = report.drives
         assert abs(ds[3] / ds[0] - 3.0) <= 1e-2
+        assert quad.a0.phase == 0.0  # gauge fixed
 
     def test_preconditions(self):
         with pytest.raises(InvalidInputError):
-            optimize_general(zero_quad(), 0.5, 5, 0)
+            optimize_general(0.5, 5, 0)
         with pytest.raises(InvalidInputError):
-            optimize_general(zero_quad(), 1.5, 0, 0)
+            optimize_general(1.5, 0, 0)
 
     @pytest.mark.parametrize("restarts, seed", [(5, -1), (5, 1.5), (2.5, 0), (True, 0),
                                                  (5, True), (5, "3"), ("5", 0)])
     def test_restarts_and_seed_must_be_integers(self, restarts, seed):
         # library callers get the checks the CLI's argparse types and RunConfig give
         with pytest.raises(InvalidInputError):
-            optimize_general(zero_quad(), 1.5, restarts, seed)
+            optimize_general(1.5, restarts, seed)
 
     def test_restarts_past_the_bound_rejected_before_any_solve(self, monkeypatch):
         from freqbin import bell
@@ -177,11 +172,11 @@ class TestOptimizeGeneral:
             raise AssertionError("a restart ran past the bound")
         monkeypatch.setattr(bell, "_lbfgsb_lockstep", no_solve)
         with pytest.raises(InvalidInputError, match=f"at most {bell.MAX_RESTARTS}"):
-            optimize_general(zero_quad(), 1.5, bell.MAX_RESTARTS + 1, 0)
+            optimize_general(1.5, bell.MAX_RESTARTS + 1, 0)
 
     def test_numpy_integers_accepted(self):
-        quad, _ = optimize_general(zero_quad(), 1.5, np.int64(1), np.int64(3))
-        assert quad == optimize_general(zero_quad(), 1.5, 1, 3)[0]
+        quad, _ = optimize_general(1.5, np.int64(1), np.int64(3))
+        assert quad == optimize_general(1.5, 1, 3)[0]
 
 
 def quad_from_vector(x):
@@ -246,6 +241,9 @@ def edge_points(seed):
 
 # the minimize options each optimize_general solve must reproduce bit for bit
 LBFGSB_OPTIONS = {"ftol": 1e-15, "gtol": 1e-11, "maxiter": 1000}
+# optimize_general's box at bound 1.5: amplitudes on [0, 1.5], phases on [-2 pi, 4 pi]
+BOX_LOWER = np.array([0.0] * 4 + [-2.0 * math.pi] * 4)
+BOX_UPPER = np.array([1.5] * 4 + [4.0 * math.pi] * 4)
 
 
 @dataclass(frozen=True)
@@ -385,15 +383,15 @@ class TestGradientSearch:
             assert abs(value + chsh_ideal(quad_from_vector(x)).s_value) <= 1e-14
 
     def test_same_seed_same_quad(self):
-        first = optimize_general(zero_quad(), 1.5, restarts=5, seed=42)
-        second = optimize_general(zero_quad(), 1.5, restarts=5, seed=42)
+        first = optimize_general(1.5, restarts=5, seed=42)
+        second = optimize_general(1.5, restarts=5, seed=42)
         assert first == second
 
     def test_every_seed_reaches_the_optimum(self):
         # starts drawn on [0, bound] missed S* on 2 and 40 of 40 seeds at bounds 3 and 12.5
         for bound in (1.5, 3.0, 12.5):
             for seed in range(20):
-                quad, report = optimize_general(zero_quad(), bound, restarts=20, seed=seed)
+                quad, report = optimize_general(bound, restarts=20, seed=seed)
                 assert abs(report.s_value - S_STAR) <= 1e-9, (bound, seed)
                 ds = report.drives
                 assert abs(ds[3] / ds[0] - 3.0) <= 1e-2
@@ -404,21 +402,21 @@ class TestGradientSearch:
         # would let the objective's last bits choose the reported quad
         for seed in range(5):
             recorded_solves.clear()
-            quad, _ = optimize_general(zero_quad(), 1.5, restarts=20, seed=seed)
+            quad, _ = optimize_general(1.5, restarts=20, seed=seed)
             assert len(recorded_solves) == 20
             lowest = min(solve.fun for solve in recorded_solves)
             first = next(solve for solve in recorded_solves if solve.fun <= lowest + 1e-12)
             assert quad == quad_from_vector(np.concatenate([first.x[:4], first.x[4:] - first.x[4]]))
 
     def test_each_restart_starts_at_its_own_draws(self, recorded_solves):
-        # the start stream: after the initial quad, each restart draws its 4
+        # the start stream: after the zero quad, each restart draws its 4
         # amplitudes on [0, min(bound, 1.5)], then its 4 phases on [0, 2 pi)
         for bound in (1.5, 12.5):
             for seed in range(5):
                 recorded_solves.clear()
-                optimize_general(zero_quad(), bound, restarts=20, seed=seed)
+                optimize_general(bound, restarts=20, seed=seed)
                 rng = np.random.default_rng(seed)
-                assert not recorded_solves[0].x0.any()
+                assert recorded_solves[0].x0.tobytes() == np.zeros(8).tobytes()
                 for solve in recorded_solves[1:]:
                     drawn = np.concatenate([rng.uniform(0.0, min(bound, 1.5), 4),
                                             rng.uniform(0.0, 2.0 * np.pi, 4)])
@@ -430,7 +428,7 @@ class TestGradientSearch:
         # minimize(jac=True) gives, with one objective call per point (nfev)
         for seed in (0, 1, 2):
             recorded_solves.clear()
-            optimize_general(zero_quad(), bound, restarts=20, seed=seed)
+            optimize_general(bound, restarts=20, seed=seed)
             assert len(recorded_solves) == 20
             for solve in recorded_solves:
                 assert_is_the_minimize_solve(solve, LBFGSB_OPTIONS)
@@ -439,11 +437,10 @@ class TestGradientSearch:
             assert abnormal == [seed == 2 and bound > 1.5 and k == 6 for k in range(20)]
 
     def test_start_outside_the_box_gives_the_minimize_solve(self, recorded_solves):
-        # only a library caller's initial quad can start outside the box; minimize
-        # clips it into the box, and so must the solve
-        outside = SettingQuad(ModulationSetting(2.0, -7.0), ModulationSetting(0.3, 13.0),
-                              ModulationSetting(0.5, 1.0), ModulationSetting(0.7, 20.0))
-        optimize_general(outside, 1.5, restarts=1, seed=0)
+        # minimize clips a start outside the box into it, and so must the driver
+        from freqbin import bell
+        outside = np.array([[2.0, 0.3, 0.5, 0.7, -7.0, 13.0, 1.0, 20.0]])
+        bell._lbfgsb_lockstep(bell._neg_chsh_and_gradients, outside, BOX_LOWER, BOX_UPPER)
         assert_is_the_minimize_solve(recorded_solves[0], LBFGSB_OPTIONS)
 
     def test_each_restart_hands_setulb_a_start_inside_the_box(self, monkeypatch):
@@ -459,15 +456,12 @@ class TestGradientSearch:
             first_points.setdefault(k, point.copy())
             step(*args)
         monkeypatch.setattr(lbfgsb, "setulb", checking_step)
-        two_pi = 2.0 * math.pi
-        lower = np.array([0.0] * 4 + [-two_pi] * 4)
-        upper = np.array([1.5] * 4 + [2.0 * two_pi] * 4)
-        starts = np.random.default_rng(4).uniform(-2.0 * two_pi, 3.0 * two_pi, (7, 8))
-        assert np.all(np.any((starts < lower) | (starts > upper), axis=1))
-        bell._lbfgsb_lockstep(bell._neg_chsh_and_gradients, starts, lower, upper)
+        starts = np.random.default_rng(4).uniform(-4.0 * math.pi, 6.0 * math.pi, (7, 8))
+        assert np.all(np.any((starts < BOX_LOWER) | (starts > BOX_UPPER), axis=1))
+        bell._lbfgsb_lockstep(bell._neg_chsh_and_gradients, starts, BOX_LOWER, BOX_UPPER)
         assert sorted(first_points) == list(range(7))
         for k, point in first_points.items():
-            assert point.tobytes() == np.clip(starts[k], lower, upper).tobytes()
+            assert point.tobytes() == np.clip(starts[k], BOX_LOWER, BOX_UPPER).tobytes()
 
     def test_one_objective_call_per_round(self, search_record):
         # each round steps every live restart to its next new point and evaluates
@@ -477,7 +471,7 @@ class TestGradientSearch:
         # restart makes evaluations
         for seed in range(3):
             search_record.solves.clear()
-            optimize_general(zero_quad(), 1.5, restarts=20, seed=seed)
+            optimize_general(1.5, restarts=20, seed=seed)
             evaluations = [solve.evaluations for solve in search_record.solves]
             assert len(search_record.rounds) == max(evaluations)
             for r, asking in enumerate(search_record.rounds):
@@ -489,11 +483,11 @@ class TestGradientSearch:
         # at width 3, 20 restarts must each give the solve they give all live at once,
         # in restart order, and the search the same quad and S to the last bit
         from freqbin import bell
-        full = optimize_general(zero_quad(), 3.0, restarts=20, seed=2)
+        full = optimize_general(3.0, restarts=20, seed=2)
         all_live = list(search_record.solves)
         search_record.solves.clear()
         monkeypatch.setattr(bell, "_LOCKSTEP_WIDTH", 3)
-        narrow = optimize_general(zero_quad(), 3.0, restarts=20, seed=2)
+        narrow = optimize_general(3.0, restarts=20, seed=2)
         assert repr(narrow) == repr(full)
         assert len(search_record.solves) == 20
         for solve, reference in zip(search_record.solves, all_live):
@@ -527,7 +521,7 @@ class TestGradientSearch:
         # so lower caps pin both stops against minimize given the same option
         from freqbin import bell
         monkeypatch.setattr(bell, cap, 5)
-        optimize_general(zero_quad(), 1.5, restarts=20, seed=0)
+        optimize_general(1.5, restarts=20, seed=0)
         assert sum(solve.stop == (5, stop) for solve in recorded_solves) >= 10
         for solve in recorded_solves:
             assert_is_the_minimize_solve(solve, {**LBFGSB_OPTIONS, option: 5})
@@ -535,8 +529,8 @@ class TestGradientSearch:
     def test_amplitude_bound_outside_bessel_domain_rejected(self):
         for bound in (math.nan, math.inf, 20.0, 12.6):
             with pytest.raises(InvalidInputError):
-                optimize_general(zero_quad(), bound, 2, 0)
-        quad, _ = optimize_general(zero_quad(), 12.5, 2, 0)  # 2D <= 50 everywhere
+                optimize_general(bound, 2, 0)
+        quad, _ = optimize_general(12.5, 2, 0)  # 2D <= 50 everywhere
         assert max(s.amplitude for s in (quad.a0, quad.a1, quad.b0, quad.b1)) <= 12.5
 
 

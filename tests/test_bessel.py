@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from freqbin import (BesselDomainError, InvalidInputError, TruncationCapError, TruncationPolicy,
-                     bessel_j, jacobi_anger_residual, truncation_order)
+                     bessel_j, truncation_order)
 from freqbin.bessel import _miller, _series, _sideband_amplitudes
+from oracles import jacobi_anger_residual
 
 mp.mp.dps = 40
 

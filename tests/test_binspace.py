@@ -3,6 +3,7 @@
 import cmath
 import math
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -126,11 +127,18 @@ class TestCorrelatedState:
     def test_integer_bins_of_any_kind_accepted(self):
         want = correlated_state(range(-1, 3))
         for bins in ([-1, 0, 1, 2], np.arange(-1, 3), [np.int32(-1), np.int64(0), np.uint8(1), 2],
+                     [np.int64(-1), np.uint64(0), np.int64(1), np.uint64(2)],  # int64 + uint64 is float64
                      (n for n in range(-1, 3)), {2, 1, 0, -1}):
             got = correlated_state(bins)
             assert got.window_a == want.window_a
             assert np.array_equal(got.amplitudes, want.amplitudes)
         assert len(parity_tables(range(2**63 - 2, 2**63), [])) == 0
+
+    def test_numpy_bins_whose_sum_passes_int64_read_without_a_warning(self):
+        # a sum of the bins once checked their types, and numpy's scalar add wrapped with a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert len(parity_tables(np.array([2**62, 2**62 + 1]), [])) == 0
 
     @pytest.mark.parametrize("amplitudes, leaked_norm, message", [
         (np.zeros((1, 1)), 0.0, "does not match windows"),
@@ -548,6 +556,12 @@ class TestParityTables:
                 parity_tables(bins, pair)
             with pytest.raises(WindowBoundError):
                 correlated_state(bins)
+
+    @pytest.mark.parametrize("bins, error", [([0, 1.5, 2**64], InvalidInputError),
+                                             ([0, 2**64, 1.5], WindowBoundError)])
+    def test_first_faulty_bin_decides_the_error(self, bins, error):
+        with pytest.raises(error):
+            parity_tables(bins, [])
 
     def test_wide_correlated_state_is_a_window_bound_error(self):
         # the dense table is width**2 complex entries: [-2**40, 2**40] used to fail

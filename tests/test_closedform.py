@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from freqbin import (InvalidInputError, ModulationSetting, ProbTable, apply_crosstalk, bessel_j,
-                     effective_drive, ideal_probabilities, phase_average_oracle)
+                     effective_drive, ideal_probabilities)
+from oracles import phase_average_oracle
 
 
 def random_setting(rng, max_amplitude=1.5):
