@@ -498,6 +498,14 @@ class TestSimulateAnalyze:
         assert run_cli("analyze", str(bad), str(bad), str(bad), str(bad)) == 3
         assert "line 3: not UTF-8" in capsys.readouterr().err
 
+    def test_infinite_bin_width_is_named(self, tmp_path, capsys):
+        # 1e400 reads as inf, which once reached the windows as "peak window selects no bins"
+        wide = tmp_path / "wide.csv"
+        wide.write_text("# coincidence-histogram v1, bin_width_s=1e400\nEE,0,3\n")
+        assert run_cli("analyze", *([str(wide)] * 4)) == 3
+        assert capsys.readouterr().err.endswith(
+            "line 1: bin_width_s must be positive and finite\n")
+
     def test_background_only_is_data_error(self, tmp_path, capsys):
         flat = tmp_path / "flat.csv"
         lines = ["# coincidence-histogram v1, bin_width_s=5e-10"]
