@@ -2,10 +2,9 @@
 
 A two-photon state is a dense complex amplitude table over a rectangular
 window of bin-index pairs (m, n). A phase modulator on one arm convolves the
-table along that axis with the sideband kernel J_p(c) e^{i p (gamma - pi/2)};
-probability shifted outside a caller-supplied window is tracked in
-leaked_norm instead of being renormalized away. Each dense operation has one
-body, written for arm A: arm B runs as arm A of the swapped state (windows
+table along that axis with the sideband kernel J_p(c) e^{i p (gamma - pi/2)},
+widening the window by the kept order. Each dense operation has one body,
+written for arm A: arm B runs as arm A of the swapped state (windows
 exchanged, table transposed), and the result is swapped back.
 
 The CHSH and pattern pipelines need only the four even/odd sums of the
@@ -35,7 +34,7 @@ for the correlations, instead of O(K^2 P) per setting pair. Each pair's
 four sums then go through the table model the dense path uses: ProbTable
 checks the entries and apply_crosstalk mixes them. The dense
 TwoPhotonState path, held to |bin| <= DEFAULT_BIN_BOUND, is its test oracle
-and the only path that clips to a max_window and accounts leaked norm.
+and the only path that gives the bin-resolved amplitude table.
 """
 
 from __future__ import annotations
@@ -53,13 +52,12 @@ from .params import (MAX_BINS, BinWindow, DispersionProfile, MeasurementModel, M
                      TruncationPolicy, is_int)
 
 DEFAULT_BIN_BOUND = 512  # |bin| bound of the dense K x K path
-_ARMS = ("A", "B")
 _DEFAULT_POLICY = TruncationPolicy()
 
 
 @dataclass(eq=False)
 class TwoPhotonState:
-    """Amplitude table over (Alice bin, Bob bin) pairs plus truncated-away probability.
+    """Amplitude table over (Alice bin, Bob bin) pairs.
 
     Operations never mutate their input state; instances are value-semantic.
     """
@@ -67,7 +65,6 @@ class TwoPhotonState:
     window_a: BinWindow
     window_b: BinWindow
     amplitudes: np.ndarray
-    leaked_norm: float = 0.0
 
     def __post_init__(self):
         amp = np.asarray(self.amplitudes, dtype=complex)
@@ -75,22 +72,15 @@ class TwoPhotonState:
             raise InvalidInputError(
                 f"amplitude table shape {amp.shape} does not match windows "
                 f"({self.window_a.width}, {self.window_b.width})")
-        if self.leaked_norm < 0.0:
-            raise InvalidInputError("leaked_norm must be >= 0")
         self.amplitudes = amp
 
     @property
     def norm(self) -> float:
-        """Probability weight still inside the window, sum |amplitude|^2."""
+        """Probability weight of the table, sum |amplitude|^2."""
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
     def amplitude(self, m: int, n: int) -> complex:
         return complex(self.amplitudes[self.window_a.index(m), self.window_b.index(n)])
-
-
-def _check_arm(arm: str) -> None:
-    if arm not in _ARMS:
-        raise InvalidInputError(f"arm must be 'A' or 'B', got {arm!r}")
 
 
 def _alice_bins(bins_a) -> tuple[np.ndarray, BinWindow]:
@@ -170,49 +160,37 @@ def apply_modulator(state: TwoPhotonState,
                     setting: ModulationSetting,
                     policy: TruncationPolicy = _DEFAULT_POLICY,
                     *,
-                    max_window: BinWindow | None = None,
                     bin_bound: int = DEFAULT_BIN_BOUND) -> TwoPhotonState:
-    """Convolve one arm with the modulation kernel, widening its window by the kept order.
+    """Convolve one arm with the modulation kernel, widening its window by the kept order P.
 
-    Amplitude landing outside max_window (when given) is summed into
-    leaked_norm. The output window must stay within |bin| <= bin_bound, which
-    turns unbounded growth under repeated application into an explicit error.
+    The output window must stay within |bin| <= bin_bound, which turns
+    unbounded growth under repeated application into an explicit error.
     """
-    _check_arm(arm)
+    state = _as_arm_a(state, arm)
     offsets, weights = modulation_kernel(setting, policy)
     p_max = int(offsets[-1])
-    state = _as_arm_a(state, arm)
     win = state.window_a
     wide = BinWindow(win.min_bin - p_max, win.max_bin + p_max)
-    out_win = wide if max_window is None else _intersect(wide, max_window)
-    if out_win is None:
-        raise InvalidInputError("max_window does not overlap the modulated spectrum")
-    _check_bin_bound(out_win, bin_bound)
+    _check_bin_bound(wide, bin_bound)
 
     old = state.amplitudes
     full = np.zeros((wide.width, old.shape[1]), dtype=complex)
     for k, w in enumerate(weights):
         full[k:k + old.shape[0]] += w * old
-
-    leaked = state.leaked_norm
-    if out_win != wide:
-        lo = out_win.min_bin - wide.min_bin
-        hi = lo + out_win.width
-        leaked += float(np.sum(np.abs(full[:lo]) ** 2) + np.sum(np.abs(full[hi:]) ** 2))
-        full = full[lo:hi]
-    return _as_arm_a(TwoPhotonState(out_win, state.window_b, full, leaked), arm)
+    return _as_arm_a(TwoPhotonState(wide, state.window_b, full), arm)
 
 
 def _as_arm_a(state: TwoPhotonState, arm: str) -> TwoPhotonState:
-    """The state with the given arm on axis 0; its own inverse.
+    """The state with the given arm on axis 0; its own inverse, and the one arm check.
 
     Arm B swaps the windows and transposes the table into a C-ordered copy,
-    so each operation has one body, written for arm A.
+    so each operation has one body, written for arm A, and calls this first.
     """
     if arm == "A":
         return state
-    return TwoPhotonState(state.window_b, state.window_a,
-                          np.ascontiguousarray(state.amplitudes.T), state.leaked_norm)
+    if arm != "B":
+        raise InvalidInputError(f"arm must be 'A' or 'B', got {arm!r}")
+    return TwoPhotonState(state.window_b, state.window_a, np.ascontiguousarray(state.amplitudes.T))
 
 
 def _check_bin_bound(window: BinWindow, bin_bound: int) -> None:
@@ -221,20 +199,13 @@ def _check_bin_bound(window: BinWindow, bin_bound: int) -> None:
             f"window [{window.min_bin}, {window.max_bin}] exceeds |bin| <= {bin_bound}")
 
 
-def _intersect(w1: BinWindow, w2: BinWindow) -> BinWindow | None:
-    lo = max(w1.min_bin, w2.min_bin)
-    hi = min(w1.max_bin, w2.max_bin)
-    return BinWindow(lo, hi) if lo <= hi else None
-
-
 def apply_dispersion(state: TwoPhotonState, profile: DispersionProfile, arm: str) -> TwoPhotonState:
     """Multiply the chosen arm's bin n amplitudes by e^{i phi(n)}; norm unchanged."""
-    _check_arm(arm)
     state = _as_arm_a(state, arm)
     _check_overrides(profile, state.window_a, arm)
     factors = np.exp(1j * profile.phases(state.window_a.bins()))
-    return _as_arm_a(TwoPhotonState(state.window_a, state.window_b,
-                                    state.amplitudes * factors[:, None], state.leaked_norm), arm)
+    phased = TwoPhotonState(state.window_a, state.window_b, state.amplitudes * factors[:, None])
+    return _as_arm_a(phased, arm)
 
 
 def _check_overrides(profile: DispersionProfile, win: BinWindow, arm: str) -> None:
@@ -245,7 +216,7 @@ def _check_overrides(profile: DispersionProfile, win: BinWindow, arm: str) -> No
 
 
 def parity_probabilities(state: TwoPhotonState, model: MeasurementModel | None = None) -> ProbTable:
-    """Even/odd joint detection table; sums to 1 - leaked_norm.
+    """Even/odd joint detection table; sums to the state's norm.
 
     Interleaver crosstalk from the model, when given, flips each photon's
     parity label independently with probability model.crosstalk.

@@ -7,12 +7,13 @@ discrete simulation depends on bin indices alone.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
 
 from .errors import InvalidInputError
-from .params import MAX_BINS, DispersionProfile, MeasurementModel, TruncationPolicy, strict_int
+from .params import MAX_BINS, DispersionProfile, MeasurementModel, TruncationPolicy, json_number, strict_int
 
 
 @dataclass(frozen=True)
@@ -61,6 +62,7 @@ class RunConfig:
                             for key in set(data[section]) - set(defaults[section])}
         if unknown:
             raise InvalidInputError(f"unknown config keys: {sorted(unknown)}")
+        number = functools.partial(json_number, "config value")
         try:
             disp = data.get("dispersion", {})
             overrides, keys = {}, {}
@@ -72,37 +74,29 @@ class RunConfig:
                         f"and {key!r} both name bin {bin_index}")
                 keys[bin_index] = key
                 name = f"dispersion.per_bin_overrides[{key!r}]"
-                overrides[bin_index] = float(_number(name, value))
-            measurement = {key: _number(f"measurement.{key}", value)
+                overrides[bin_index] = float(number(name, value))
+            measurement = {key: number(f"measurement.{key}", value)
                            for key, value in data.get("measurement", {}).items()}
-            truncation = {key: _number(f"truncation.{key}", value, integer=key == "max_order")
+            truncation = {key: number(f"truncation.{key}", value, integer=key == "max_order")
                           for key, value in data.get("truncation", {}).items()}
             return cls(
-                rf_frequency=float(_number("rf_frequency", data.get("rf_frequency", base.rf_frequency))),
-                center_frequency=float(_number("center_frequency", data.get("center_frequency",
-                                                                            base.center_frequency))),
-                bins=tuple(_number("each bin", b, integer=True) for b in data.get("bins", base.bins)),
+                rf_frequency=float(number("rf_frequency", data.get("rf_frequency", base.rf_frequency))),
+                center_frequency=float(number("center_frequency", data.get("center_frequency",
+                                                                           base.center_frequency))),
+                bins=tuple(number("each bin", b, integer=True) for b in data.get("bins", base.bins)),
                 truncation=TruncationPolicy(**truncation),
                 measurement=MeasurementModel(**measurement),
                 dispersion=DispersionProfile(
-                    quadratic_coefficient=float(_number("dispersion.quadratic_coefficient",
-                                                        disp.get("quadratic_coefficient", 0.0))),
+                    quadratic_coefficient=float(number("dispersion.quadratic_coefficient",
+                                                       disp.get("quadratic_coefficient", 0.0))),
                     per_bin_overrides=overrides or None,
                 ),
-                seed=_number("seed", data.get("seed", base.seed), integer=True),
+                seed=number("seed", data.get("seed", base.seed), integer=True),
             )
         except InvalidInputError:
             raise
         except (AttributeError, OverflowError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"bad config value: {exc}") from None
-
-
-def _number(name: str, value, integer: bool = False):
-    """value itself if its type is exactly int or, unless integer, float: what json decodes numbers to."""
-    if not (type(value) is int or not integer and type(value) is float):
-        kind = "an integer" if integer else "a number"
-        raise InvalidInputError(f"bad config value: {name} must be {kind}, got {value!r}")
-    return value
 
 
 def _object_without_repeated_keys(pairs) -> dict:

@@ -15,6 +15,7 @@ setting_b, duration_s, counts, background.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import warnings
@@ -26,7 +27,7 @@ import numpy as np
 
 from .closedform import ProbTable, effective_drive, ideal_probabilities
 from .errors import EstimatorError, HistogramFormatError, InvalidInputError
-from .params import MeasurementModel, ModulationSetting, is_int
+from .params import MeasurementModel, ModulationSetting, is_int, is_real, json_number
 
 OUTCOMES = ("EE", "EO", "OE", "OO")
 PAIR_LABELS = (("A0", "B0"), ("A0", "B1"), ("A1", "B0"), ("A1", "B1"))  # correlator order
@@ -80,12 +81,18 @@ class CountRecord:
     background_per_outcome: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
 
     def __post_init__(self):
+        if not all(is_int(c) for c in self.counts()):
+            raise InvalidInputError(f"counts must be integers, got {self.counts()!r}")
         if any(c < 0 for c in self.counts()):
             raise InvalidInputError("counts must be >= 0")
-        if any(b < 0.0 for b in self.background_per_outcome):
+        background = self.background_per_outcome
+        if len(background) != 4 or not all(is_real(b) and abs(b) < math.inf for b in background):
+            raise InvalidInputError(f"background must be four finite numbers, got {background!r}")
+        if any(b < 0.0 for b in background):
             raise InvalidInputError("background must be >= 0")
-        if not self.duration > 0.0:
-            raise InvalidInputError("duration must be positive")
+        duration = self.duration
+        if not (is_real(duration) and 0.0 < duration < math.inf):
+            raise InvalidInputError(f"duration must be {'finite' if duration == math.inf else 'positive'}")
 
     def counts(self) -> tuple[int, int, int, int]:
         return (self.n_ee, self.n_eo, self.n_oe, self.n_oo)
@@ -105,15 +112,22 @@ class CountRecord:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> CountRecord:
-        counts = data["counts"]
-        background = data.get("background", {})
-        return cls(
-            n_ee=int(counts["EE"]), n_eo=int(counts["EO"]),
-            n_oe=int(counts["OE"]), n_oo=int(counts["OO"]),
-            setting_labels=(str(data.get("setting_a", "")), str(data.get("setting_b", ""))),
-            duration=float(data.get("duration_s", 1.0)),
-            background_per_outcome=tuple(float(background.get(k, 0.0)) for k in OUTCOMES),
-        )
+        """The record of a decoded JSON object; each value must have the type json decodes it to."""
+        number = functools.partial(json_number, "count record")
+        counts, background = data.get("counts"), data.get("background", {})
+        for name, obj in (("counts", counts), ("background", background)):
+            if type(obj) is not dict:
+                raise InvalidInputError(f"bad count record: {name} must be an object, got {obj!r}")
+        missing = [key for key in OUTCOMES if key not in counts]
+        if missing:
+            raise InvalidInputError(f"bad count record: counts has no key {missing[0]!r}")
+        labels = (data.get("setting_a", ""), data.get("setting_b", ""))
+        if not all(type(label) is str for label in labels):
+            raise InvalidInputError(f"bad count record: setting labels must be strings, got {labels!r}")
+        return cls(*(number(f"counts.{key}", counts[key], integer=True) for key in OUTCOMES),
+                   setting_labels=labels, duration=number("duration_s", data.get("duration_s", 1.0)),
+                   background_per_outcome=tuple(number(f"background.{key}", background.get(key, 0.0))
+                                                for key in OUTCOMES))
 
 
 @dataclass(eq=False)
@@ -129,8 +143,15 @@ class Histogram:
     counts: dict[str, np.ndarray]
 
     def __post_init__(self):
-        if not 0.0 < self.bin_width_s < math.inf:
+        if not is_real(self.bin_width_s):
+            raise InvalidInputError(f"bin_width_s must be a real number, got {self.bin_width_s!r}")
+        try:
+            width = float(self.bin_width_s)  # the header writes its repr
+        except OverflowError:  # an int past the largest float
+            width = math.inf
+        if not 0.0 < width < math.inf:
             raise InvalidInputError("bin_width_s must be positive and finite")
+        self.bin_width_s = width
         if not self.counts:
             raise InvalidInputError("histogram needs at least one channel pair")
         counts = {}  # the histogram's own mapping: the caller's dict is left as it was

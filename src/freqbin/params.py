@@ -21,6 +21,19 @@ def is_int(value) -> bool:
     return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """True for a real number that is not a bool: a Python or numpy integer or float, say."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def json_number(source: str, name: str, value, integer: bool = False):
+    """value itself if its type is exactly int or, unless integer, float: what json decodes numbers to."""
+    if not (type(value) is int or not integer and type(value) is float):
+        kind = "an integer" if integer else "a number"
+        raise InvalidInputError(f"bad {source}: {name} must be {kind}, got {value!r}")
+    return value
+
+
 def strict_int(text: str) -> int:
     """int(text) for ASCII digits with an optional leading '-' and ASCII spaces around them.
 

@@ -223,7 +223,7 @@ def test_criterion_8_invariant_suite():
             setting = ModulationSetting(float(rng.uniform(0, 1.0)),
                                         float(rng.uniform(0, 2 * math.pi)))
             state = apply_modulator(state, arm, setting)
-        norm_ok = norm_ok and abs(state.norm + state.leaked_norm - 1.0) <= 1e-10
+        norm_ok = norm_ok and abs(state.norm - 1.0) <= 1e-10
 
     base = correlated_state(range(1, 7))
     sa = ModulationSetting(0.52, 0.4)

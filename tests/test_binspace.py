@@ -11,12 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freqbin import (BinWindow, DispersionProfile, InvalidInputError, MeasurementModel,
-                     ModulationSetting, ProbabilitySumError, ProbTable, TruncationPolicy,
-                     TwoPhotonState, WindowBoundError, apply_crosstalk, apply_dispersion,
-                     apply_modulator, bessel_j, chsh_finite, chsh_ideal, chsh_optimal_quad,
-                     correlated_state, effective_drive, ideal_probabilities, modulation_kernel,
-                     parity_probabilities, parity_tables)
+from freqbin import (BesselDomainError, BinWindow, DispersionProfile, InvalidInputError,
+                     MeasurementModel, ModulationSetting, ProbabilitySumError, ProbTable,
+                     TruncationPolicy, TwoPhotonState, WindowBoundError, apply_crosstalk,
+                     apply_dispersion, apply_modulator, bessel_j, chsh_finite, chsh_ideal,
+                     chsh_optimal_quad, correlated_state, effective_drive, ideal_probabilities,
+                     modulation_kernel, parity_probabilities, parity_tables)
 from freqbin import binspace
 from freqbin.params import MAX_BINS
 
@@ -36,25 +36,22 @@ def phase_state(varphi, window):
 
 
 def random_state(rng):
-    """A random complex table over random windows, with some leaked norm."""
+    """A random complex table over random windows."""
     lo_a, lo_b = (int(v) for v in rng.integers(-6, 6, size=2))
     width_a, width_b = (int(v) for v in rng.integers(1, 7, size=2))
     amp = rng.normal(size=(width_a, width_b)) + 1j * rng.normal(size=(width_a, width_b))
-    return TwoPhotonState(BinWindow(lo_a, lo_a + width_a - 1), BinWindow(lo_b, lo_b + width_b - 1),
-                          amp, float(rng.uniform(0, 0.1)))
+    return TwoPhotonState(BinWindow(lo_a, lo_a + width_a - 1), BinWindow(lo_b, lo_b + width_b - 1), amp)
 
 
 def transposed(state):
     """The state with Alice and Bob exchanged, built directly from its fields."""
-    return TwoPhotonState(state.window_b, state.window_a, state.amplitudes.T.copy(),
-                          state.leaked_norm)
+    return TwoPhotonState(state.window_b, state.window_a, state.amplitudes.T.copy())
 
 
 def assert_same_state(got, expected):
-    """Windows, amplitudes and leaked norm bitwise equal."""
+    """Windows and amplitudes bitwise equal."""
     assert (got.window_a, got.window_b) == (expected.window_a, expected.window_b)
     assert np.array_equal(got.amplitudes.view(np.float64), expected.amplitudes.view(np.float64))
-    assert got.leaked_norm == expected.leaked_norm
 
 
 def product_state(m, n):
@@ -79,7 +76,6 @@ class TestCorrelatedState:
         for n in range(1, 7):
             assert abs(state.amplitude(n, -n) - 1 / math.sqrt(6)) < 1e-15
         assert abs(state.norm - 1.0) < 1e-12
-        assert state.leaked_norm == 0.0
 
     def test_single_bin_product(self):
         state = correlated_state([0])
@@ -140,13 +136,12 @@ class TestCorrelatedState:
             warnings.simplefilter("error")
             assert len(parity_tables(np.array([2**62, 2**62 + 1]), [])) == 0
 
-    @pytest.mark.parametrize("amplitudes, leaked_norm, message", [
-        (np.zeros((1, 1)), 0.0, "does not match windows"),
-        (np.zeros((2, 2)), -0.1, "leaked_norm must be >= 0"),
+    @pytest.mark.parametrize("amplitudes, message", [
+        (np.zeros((1, 1)), "does not match windows"),
     ])
-    def test_state_checks_its_table(self, amplitudes, leaked_norm, message):
+    def test_state_checks_its_table(self, amplitudes, message):
         with pytest.raises(InvalidInputError, match=message):
-            TwoPhotonState(BinWindow(0, 1), BinWindow(0, 1), amplitudes, leaked_norm)
+            TwoPhotonState(BinWindow(0, 1), BinWindow(0, 1), amplitudes)
 
     def test_unsorted_bins(self):
         state = correlated_state([4, -2, 1])
@@ -179,22 +174,7 @@ class TestApplyModulator:
     def test_norm_conserved_without_clipping(self):
         state = correlated_state(range(-3, 4))
         out = apply_modulator(state, "B", ModulationSetting(1.2, 0.3))
-        assert abs(out.norm + out.leaked_norm - 1.0) <= 1e-10
-
-    def test_max_window_off_the_spectrum_rejected(self):
-        with pytest.raises(InvalidInputError, match="does not overlap"):
-            apply_modulator(correlated_state([0]), "A", ModulationSetting(0.5),
-                            max_window=BinWindow(100, 101))
-
-    @pytest.mark.parametrize("arm", ["A", "B"])
-    def test_clipping_accumulates_leaked_norm(self, arm):
-        state = correlated_state(range(-3, 4))
-        out = apply_modulator(state, arm, ModulationSetting(1.2, 0.0),
-                              max_window=BinWindow(-4, 4))
-        assert out.leaked_norm > 0.0
-        assert abs(out.norm + out.leaked_norm - 1.0) <= 1e-10
-        clipped, other = (out.window_a, out.window_b) if arm == "A" else (out.window_b, out.window_a)
-        assert clipped == BinWindow(-4, 4) and other == BinWindow(-3, 3)
+        assert abs(out.norm - 1.0) <= 1e-10
 
     def test_window_bound_error(self):
         state = correlated_state(range(-3, 4))
@@ -205,6 +185,13 @@ class TestApplyModulator:
         with pytest.raises(InvalidInputError):
             apply_modulator(correlated_state([0]), "C", ModulationSetting(0.1, 0.0))
 
+    def test_bad_arm_rejected_before_the_kernel_is_built(self):
+        # ModulationSetting(60.0) alone raises BesselDomainError past the default max_order
+        with pytest.raises(BesselDomainError):
+            apply_modulator(correlated_state([0]), "A", ModulationSetting(60.0))
+        with pytest.raises(InvalidInputError, match="^arm must be 'A' or 'B', got 'C'$"):
+            apply_modulator(correlated_state([0]), "C", ModulationSetting(60.0))
+
     def test_arm_commutation(self):
         state = correlated_state(range(1, 7))
         sa = ModulationSetting(0.47, 0.9)
@@ -214,19 +201,14 @@ class TestApplyModulator:
         assert ab.window_a == ba.window_a and ab.window_b == ba.window_b
         assert np.max(np.abs(ab.amplitudes - ba.amplitudes)) <= 1e-12
 
-    @pytest.mark.parametrize("clip", [False, True])
-    def test_arm_b_is_arm_a_of_the_transposed_state_bitwise(self, clip):
-        rng = np.random.default_rng(7 + clip)
+    def test_arm_b_is_arm_a_of_the_transposed_state_bitwise(self):
+        rng = np.random.default_rng(7)
         for _ in range(40):
             state = random_state(rng)
             setting = ModulationSetting(float(rng.uniform(0, 1.5)),
                                         float(rng.uniform(0, 2 * math.pi)))
-            kwargs = {}
-            if clip:
-                lo = int(rng.integers(state.window_b.min_bin - 2, state.window_b.max_bin + 1))
-                kwargs["max_window"] = BinWindow(lo, int(rng.integers(lo, lo + 6)))
-            on_b = apply_modulator(state, "B", setting, **kwargs)
-            on_a = transposed(apply_modulator(transposed(state), "A", setting, **kwargs))
+            on_b = apply_modulator(state, "B", setting)
+            on_a = transposed(apply_modulator(transposed(state), "A", setting))
             assert_same_state(on_b, on_a)
 
     def test_composition_of_equal_phase_modulations(self):
@@ -257,12 +239,8 @@ class TestApplyModulator:
                 arm = "A" if rng.random() < 0.5 else "B"
                 setting = ModulationSetting(float(rng.uniform(0, 1.2)),
                                             float(rng.uniform(0, 2 * math.pi)))
-                if rng.random() < 0.3:
-                    state = apply_modulator(state, arm, setting,
-                                            max_window=BinWindow(-15, 15))
-                else:
-                    state = apply_modulator(state, arm, setting)
-            assert abs(state.norm + state.leaked_norm - 1.0) <= 1e-10
+                state = apply_modulator(state, arm, setting)
+            assert abs(state.norm - 1.0) <= 1e-10
 
 
 class TestApplyDispersion:
@@ -289,6 +267,13 @@ class TestApplyDispersion:
     def test_bad_arm_rejected(self):
         with pytest.raises(InvalidInputError, match="arm must be 'A' or 'B', got 'C'"):
             apply_dispersion(correlated_state([0]), DispersionProfile(), "C")
+
+    def test_bad_arm_rejected_before_the_overrides_are_checked(self):
+        profile = DispersionProfile(0.0, {99: 1.0})
+        with pytest.raises(InvalidInputError, match="outside arm A window"):
+            apply_dispersion(correlated_state([0]), profile, "A")
+        with pytest.raises(InvalidInputError, match="^arm must be 'A' or 'B', got 'C'$"):
+            apply_dispersion(correlated_state([0]), profile, "C")
 
     def test_arm_b_is_arm_a_of_the_transposed_state_bitwise(self):
         rng = np.random.default_rng(11)
@@ -345,30 +330,16 @@ class TestParityProbabilities:
         assert abs(table.p_eo - golden["finite_41bin_cancellation_p_eo"]) < 1e-12
         assert table.p_eo < 1e-2
 
-    def test_sums_to_one_minus_leak(self):
-        state = correlated_state(range(-3, 4))
-        state = apply_modulator(state, "A", ModulationSetting(1.1, 0.4),
-                                max_window=BinWindow(-5, 5))
-        table = parity_probabilities(state)
-        assert abs(table.total - (1.0 - state.leaked_norm)) < 1e-12
-
 
 class TestWindowSizeIndependence:
     def test_six_bin_tables_stable_once_window_covers_kernel(self):
-        # Two window sizes for the same 6-bin state: once the window holds the
-        # full sideband reach, the parity table is window-independent, so the
-        # wide run measures the intrinsic finite-bin deviation from closed form.
+        # The modulators widen the window by the full sideband reach, so the
+        # run measures the intrinsic finite-bin deviation from closed form.
         sa = ModulationSetting(0.6955, 0.6)
         sb = ModulationSetting(0.6955, 2.8)
-        base = correlated_state(range(1, 7))
-        tight = apply_modulator(base, "A", sa, max_window=BinWindow(-24, 24))
-        tight = apply_modulator(tight, "B", sb, max_window=BinWindow(-24, 24))
-        wide = apply_modulator(base, "A", sa)
+        wide = apply_modulator(correlated_state(range(1, 7)), "A", sa)
         wide = apply_modulator(wide, "B", sb)
-        t_tight = parity_probabilities(tight)
         t_wide = parity_probabilities(wide)
-        gap = max(abs(a - b) for a, b in zip(t_tight.as_tuple(), t_wide.as_tuple()))
-        assert gap < 1e-12
         finite_dev = max(abs(a - b) for a, b in zip(
             t_wide.as_tuple(), ideal_probabilities(effective_drive(sa, sb)).as_tuple()))
         assert 1e-4 < finite_dev < 0.1

@@ -1,6 +1,7 @@
 """Count synthesis, histogram ingestion, and the visibility/CHSH estimators."""
 
 import io
+import json
 import math
 import random
 import re
@@ -291,15 +292,25 @@ class TestHistogramFormat:
         (1e-9, {"EE": []}, "channel-pair arrays must share one nonzero length"),
         (math.inf, {"EE": [1]}, "bin_width_s must be positive and finite"),
         (-math.inf, {"EE": [1]}, "bin_width_s must be positive and finite"),
+        (10**400, {"EE": [1]}, "bin_width_s must be positive and finite"),
+        # True was once written as bin_width_s=True; a string or None raised a bare TypeError
+        (True, {"EE": [1]}, "bin_width_s must be a real number, got True"),
+        (np.True_, {"EE": [1]}, "bin_width_s must be a real number, got np.True_"),
+        ("5e-10", {"EE": [1]}, "bin_width_s must be a real number, got '5e-10'"),
+        (None, {"EE": [1]}, "bin_width_s must be a real number, got None"),
+        (1j, {"EE": [1]}, "bin_width_s must be a real number, got 1j"),
     ])
     def test_histogram_checks_its_fields(self, width, counts, message):
-        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             Histogram(bin_width_s=width, start_index=0, counts=counts)
 
-    @pytest.mark.parametrize("width", [5e-324, 1e-9, 0.1, 1.7976931348623157e308])
+    @pytest.mark.parametrize("width", [5e-324, 1e-9, 0.1, 1.7976931348623157e308,
+                                       np.float64(5e-10), np.float32(5e-10), np.int64(3), 3])
     def test_every_finite_bin_width_round_trips(self, width):
-        # an infinite width was once written as "inf", which the header then rejected
+        # an infinite width was once written as "inf", and a numpy one as
+        # "np.float64(5e-10)", which the header then rejected
         histogram = Histogram(bin_width_s=width, start_index=-2, counts={"OE": [4, 0, 9]})
+        assert type(histogram.bin_width_s) is float
         back = ingest_histogram(emit_histogram(histogram))
         assert back.bin_width_s == width and back.start_index == -2
         assert back.counts["OE"].tolist() == [4, 0, 9]
@@ -1253,11 +1264,56 @@ class TestCountRecordJson:
         ({"background_per_outcome": (0.0, -0.5, 0.0, 0.0)}, "background must be >= 0"),
         ({"duration": 0.0}, "duration must be positive"),
         ({"duration": float("nan")}, "duration must be positive"),
+        # each row below was once accepted, or raised a bare TypeError
+        ({"n_ee": 1.5}, "counts must be integers, got (1.5, 1, 1, 1)"),
+        ({"n_oo": True}, "counts must be integers, got (1, 1, 1, True)"),
+        ({"n_eo": "3"}, "counts must be integers, got (1, '3', 1, 1)"),
+        ({"background_per_outcome": (math.nan, 0.0, 0.0, 0.0)},
+         "background must be four finite numbers, got (nan, 0.0, 0.0, 0.0)"),
+        ({"background_per_outcome": (0.0, 0.0, math.inf, 0.0)},
+         "background must be four finite numbers, got (0.0, 0.0, inf, 0.0)"),
+        ({"background_per_outcome": (0.0, "1", 0.0, 0.0)},
+         "background must be four finite numbers, got (0.0, '1', 0.0, 0.0)"),
+        # to_json_dict wrote one background key, which read back as (0.5, 0.0, 0.0, 0.0)
+        ({"background_per_outcome": (0.5,)}, "background must be four finite numbers, got (0.5,)"),
+        ({"duration": math.inf}, "duration must be finite"),
+        ({"duration": "1"}, "duration must be positive"),
     ])
     def test_checks_its_fields(self, kwargs, message):
         fields = {"n_ee": 1, "n_eo": 1, "n_oe": 1, "n_oo": 1, **kwargs}
-        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
             CountRecord(**fields)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"counts": {"EE": 1.7}}, "counts.EE must be an integer, got 1.7"),
+        ({"counts": {"EO": "3"}}, "counts.EO must be an integer, got '3'"),
+        ({"counts": {"OO": True}}, "counts.OO must be an integer, got True"),
+        ({"duration_s": "1800"}, "duration_s must be a number, got '1800'"),
+        ({"duration_s": None}, "duration_s must be a number, got None"),
+        ({"background": {"OE": "0.5"}}, "background.OE must be a number, got '0.5'"),
+        ({"background": {"EE": False}}, "background.EE must be a number, got False"),
+        ({"setting_a": 0}, "setting labels must be strings, got (0, 'B1')"),
+        ({"background": [0.0]}, "background must be an object, got [0.0]"),
+        ({"counts": None}, "counts must be an object, got None"),
+    ])
+    def test_json_values_must_have_their_json_type(self, change, message):
+        data = CountRecord(10, 2, 3, 11, setting_labels=("A0", "B1"),
+                           background_per_outcome=(1.0, 1.5, 0.5, 2.0)).to_json_dict()
+        for key, value in change.items():
+            data[key] = {**data[key], **value} if isinstance(value, dict) else value
+        with pytest.raises(InvalidInputError, match=f"^bad count record: {re.escape(message)}$"):
+            CountRecord.from_json_dict(data)
+
+    @pytest.mark.parametrize("section, key, message", [
+        (None, "counts", "counts must be an object, got None"),
+        ("counts", "OE", "counts has no key 'OE'"),
+    ])
+    def test_missing_json_key_named(self, section, key, message):
+        # once a bare KeyError
+        data = CountRecord(1, 2, 3, 4).to_json_dict()
+        del (data if section is None else data[section])[key]
+        with pytest.raises(InvalidInputError, match=f"^bad count record: {message}$"):
+            CountRecord.from_json_dict(data)
 
     def test_schema_roundtrip(self):
         record = CountRecord(10, 2, 3, 11, setting_labels=("A0", "B1"), duration=1800.0,
@@ -1266,3 +1322,13 @@ class TestCountRecordJson:
         assert set(data) == {"setting_a", "setting_b", "duration_s", "counts", "background"}
         assert set(data["counts"]) == set(OUTCOMES)
         assert CountRecord.from_json_dict(data) == record
+
+    def test_simulated_and_extracted_records_round_trip(self):
+        model = experiment_model()
+        records = [simulate_counts(CORRELATED, model, seed) for seed in range(3)]
+        histogram = synthesize_histogram(CORRELATED, model, 5)
+        records.append(extract_counts(histogram, DEFAULT_PEAK_WINDOW, DEFAULT_BACKGROUND_WINDOW,
+                                      duration_s=model.duration, labels=("A1", "B0")))
+        for record in records:
+            back = CountRecord.from_json_dict(json.loads(json.dumps(record.to_json_dict())))
+            assert back == record and back.to_json_dict() == record.to_json_dict()
