@@ -4,14 +4,16 @@
     python3 scripts/output_digests.py > digests.txt
 
 The battery simulates histograms, analyzes them in JSON and CSV (and as a
-visibility scan), runs every `chsh` subcommand and `pattern`, and feeds
-`analyze` a malformed file. Each command runs in one fresh temporary
-directory with relative paths, so the listing holds nothing of the machine:
-one line per output file, standard output and standard error, in the form
-"<sha256>  <command>: <what>". Diff the listings of two checkouts to show
-that a change leaves every output byte, message and exit code the same.
-The package is imported from this checkout's src/. The script exits 1 if
-any command exits with another code than the one listed for it.
+visibility scan), runs every `chsh` subcommand and `pattern`, with and
+without interleaver crosstalk on the finite model, and feeds `analyze` a
+malformed file and `chsh finite` a drive past its truncation cap. Each
+command runs in one fresh temporary directory with relative paths, so the
+listing holds nothing of the machine: one line per output file, standard
+output and standard error, in the form "<sha256>  <command>: <what>". Diff
+the listings of two checkouts to show that a change leaves every output
+byte, message and exit code the same. The package is imported from this
+checkout's src/. The script exits 1 if any command exits with another code
+than the one listed for it.
 """
 
 import hashlib
@@ -44,10 +46,17 @@ BATTERY = [
     (0, ["chsh", "finite", "--bins=-3..3", "--out", "finite.json"]),
     (0, ["chsh", "finite", "--bins=-20..20", "--dispersion-quadratic", "1e-3",
          "--format", "csv", "--out", "finite.csv"]),
+    (0, ["chsh", "finite", "--bins=1..6", "--crosstalk", "0.0241",
+         "--out", "finite_crosstalk.json"]),
+    (0, ["chsh", "finite", "--bins=-20..20", "--dispersion-quadratic", "1e-3",
+         "--crosstalk", "0.0241", "--out", "finite_dispersed_crosstalk.json"]),
+    (3, ["chsh", "finite", "--bins=1..6", "--a0", "30", "--max-order", "5"]),
     (0, ["chsh", "montecarlo", "--ensembles", "300", "--seed", "5", "--out", "montecarlo.json"]),
     (0, ["pattern", "--steps", "9", "--out", "pattern.csv"]),
     (0, ["pattern", "--pattern-model", "both", "--bins=-4..4", "--steps", "7",
          "--format", "json", "--out", "pattern.json"]),
+    (0, ["pattern", "--pattern-model", "both", "--bins=-4..4", "--steps", "7",
+         "--crosstalk", "0.0241", "--out", "pattern_crosstalk.csv"]),
 ]
 
 

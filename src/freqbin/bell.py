@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import X_MAX, bessel_j
-from .binspace import parity_tables
+from .binspace import _parity_rows
 from .closedform import effective_drive
 from .errors import InvalidInputError, OptimizationError
 from .params import DispersionProfile, MeasurementModel, ModulationSetting, TruncationPolicy, is_int
@@ -307,6 +307,7 @@ def chsh_finite(quad: SettingQuad,
                 dispersion: DispersionProfile | None = None,
                 policy: TruncationPolicy | None = None) -> ChshReport:
     """CHSH report from the finite-bin simulation of a uniform correlated state."""
-    tables = parity_tables(bins, quad.pairs(), model, dispersion, policy)
-    return ChshReport(tuple(table.correlator for table in tables),
+    rows = _parity_rows(bins, quad.pairs(), model, dispersion, policy)
+    # E = ee - eo - oe + oo, in ProbTable.correlator's order
+    return ChshReport(tuple(ee - eo - oe + oo for ee, eo, oe, oo in rows),
                       tuple(effective_drive(sa, sb) for sa, sb in quad.pairs()))

@@ -31,10 +31,13 @@ times a phase on a dispersed one. Other envelopes take C_pi from two
 correlations over the window. For S pairs over A distinct drives a call
 costs O(A P^2 + S P) time past the O(K) read of the bins, and O(K P) more
 for the correlations, instead of O(K^2 P) per setting pair. Each pair's
-four sums then go through the table model the dense path uses: ProbTable
-checks the entries and apply_crosstalk mixes them. The dense
-TwoPhotonState path, held to |bin| <= DEFAULT_BIN_BOUND, is its test oracle
-and the only path that gives the bin-resolved amplitude table.
+four sums then stay plain floats through the table model the dense path
+uses: ProbTable's entry check, the sum check, and apply_crosstalk's mix and
+entry check, from the same closedform helpers and in the same order.
+parity_tables wraps the rows in ProbTables at its return; chsh_finite and
+the CLI's finite pattern read the floats. The dense TwoPhotonState path,
+held to |bin| <= DEFAULT_BIN_BOUND, is its test oracle and the only path
+that gives the bin-resolved amplitude table.
 """
 
 from __future__ import annotations
@@ -46,12 +49,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bessel import _sideband_amplitudes
-from .closedform import ProbTable, apply_crosstalk
+from .closedform import ProbTable, _check_entries, _mix, apply_crosstalk
 from .errors import InvalidInputError, ProbabilitySumError, WindowBoundError
 from .params import (MAX_BINS, BinWindow, DispersionProfile, MeasurementModel, ModulationSetting,
                      TruncationPolicy, is_int)
 
 DEFAULT_BIN_BOUND = 512  # |bin| bound of the dense K x K path
+_INT64_MIN, _INT64_MAX = -2**63, 2**63 - 1
 _DEFAULT_POLICY = TruncationPolicy()
 
 
@@ -88,8 +92,13 @@ def _alice_bins(bins_a) -> tuple[np.ndarray, BinWindow]:
 
     A bin that is not an integer raises InvalidInputError, one past int64
     WindowBoundError; when the bins hold both, the first of them in the
-    bins' order decides.
+    bins' order decides. A range holds only distinct Python ints, so its
+    array is built from its ends and step, with no per-bin check.
     """
+    if isinstance(bins_a, range) and bins_a:
+        bins = _range_bins(bins_a)
+        if bins is not None:
+            return bins, BinWindow(int(bins[0]), int(bins[-1]))
     values = bins_a if isinstance(bins_a, (list, tuple, range)) else list(bins_a)
     # array("q") reads each bin through __index__, which floats, strings, None,
     # numpy bools and numpy floats lack. Python bools have it, so the bins that
@@ -108,9 +117,29 @@ def _alice_bins(bins_a) -> tuple[np.ndarray, BinWindow]:
     bins.sort()
     if not bins.size:
         raise InvalidInputError("need at least one bin")
-    if np.any(bins[1:] == bins[:-1]):
+    if (bins[1:] == bins[:-1]).any():
         raise InvalidInputError("duplicate bins in correlated state")
     return bins, BinWindow(int(bins[0]), int(bins[-1]))
+
+
+def _range_bins(bins: range) -> np.ndarray | None:
+    """A nonempty range's bins as an ascending int64 array, from its lowest bin, step and length.
+
+    A first or last bin past int64 raises WindowBoundError. The offsets from
+    the lowest bin, multiples of the step, must fit int64 as well: a range
+    whose ends lie further apart, or a one-bin range whose step does not
+    fit, gives None, and the general path reads its bins one by one.
+    """
+    ascending = bins if bins.step > 0 else bins[::-1]
+    low, high = ascending[0], ascending[-1]
+    if low < _INT64_MIN or high > _INT64_MAX:
+        raise WindowBoundError("bin indices must fit in int64")
+    if high - low > _INT64_MAX or ascending.step > _INT64_MAX:
+        return None
+    offsets = np.arange(len(ascending), dtype=np.int64)
+    offsets *= ascending.step
+    offsets += low
+    return offsets
 
 
 def correlated_state(bins_a) -> TwoPhotonState:
@@ -246,6 +275,17 @@ def parity_tables(bins_a,
     when the bins fill their window and the dispersion has no per-bin
     overrides, and the envelope correlation otherwise.
     """
+    return [ProbTable(*row) for row in _parity_rows(bins_a, pairs, model, dispersion, policy)]
+
+
+def _parity_rows(bins_a, pairs, model: MeasurementModel | None, dispersion: DispersionProfile | None,
+                 policy: TruncationPolicy | None) -> list[tuple[float, float, float, float]]:
+    """parity_tables' engine: each pair's entries (ee, eo, oe, oo) as floats, checked and mixed.
+
+    For each pair in turn it raises as the dense pipeline's ProbTables do:
+    the entry check on the raw sums, the sum check, then the entry check on
+    the crosstalk-mixed entries.
+    """
     if policy is None:
         policy = _DEFAULT_POLICY
     bins, window_a = _alice_bins(bins_a)
@@ -298,20 +338,26 @@ def parity_tables(bins_a,
     values = (m[:, 0] + m[:, 1, ::-1, ::-1]).reshape(-1, 4)
 
     tol = policy.epsilon * policy.epsilon
+    crosstalk = 0.0 if model is None else model.crosstalk
     tables = []
-    for (row_a, row_b), table_values in zip(pair_rows, values.tolist()):
-        table = ProbTable(*table_values)
+    for (row_a, row_b), (ee, eo, oe, oo) in zip(pair_rows, values.tolist()):
+        _check_entries(ee, eo, oe, oo)
         # Each kernel u keeps all but t <= epsilon**2 of its squared norm, and
         # |sum_p u(p) e^{ip theta}| <= sum_p |u(p)|. The correlated state's
         # sideband phases are uniform on each arm, so by Cauchy-Schwarz the
         # total is 1 - t_A - t_B + X with |X| <= epsilon**2 (1 + l1_A)(1 + l1_B).
         spread = tol * (1.0 + l1[row_a]) * (1.0 + l1[row_b])
         low, high = 1.0 - 2.0 * tol - spread - 1e-12, 1.0 + spread + 1e-12
-        if not low <= table.total <= high:
+        total = ee + eo + oe + oo  # in ProbTable.total's order
+        if not low <= total <= high:
             raise ProbabilitySumError(
-                f"parity table sums to {table.total!r}, outside [{low!r}, {high!r}] "
+                f"parity table sums to {total!r}, outside [{low!r}, {high!r}] "
                 f"for truncation epsilon {policy.epsilon!r}")
-        tables.append(table if model is None else apply_crosstalk(table, model.crosstalk))
+        entries = (ee, eo, oe, oo)
+        if crosstalk != 0.0:  # apply_crosstalk's identity at 0 keeps signed zeros
+            entries = _mix(entries, crosstalk)
+            _check_entries(*entries)
+        tables.append(entries)
     return tables
 
 

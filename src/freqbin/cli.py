@@ -22,7 +22,7 @@ import numpy as np
 from . import __version__
 from .bell import (SettingQuad, check_general_search, chsh_finite, chsh_ideal, optimize_general,
                    optimize_symmetric)
-from .binspace import parity_tables
+from .binspace import _parity_rows
 from .closedform import PROB_NAMES, apply_crosstalk, effective_drive, ideal_probabilities
 from .config import RunConfig, load_config, parse_bins
 from .counts import (DEFAULT_BACKGROUND_WINDOW, DEFAULT_PEAK_WINDOW, PAIR_LABELS, chsh_estimate,
@@ -235,8 +235,8 @@ def _cmd_pattern(args, config: RunConfig) -> int:
     if args.pattern_model in ("ideal", "both"):
         curves["ideal"] = [table.as_tuple() for table in _closed_form_tables(pairs, 0.0)]
     if args.pattern_model in ("finite", "both"):
-        curves["finite"] = [table.as_tuple() for table in parity_tables(
-            config.bins, pairs, config.measurement, config.dispersion, config.truncation)]
+        curves["finite"] = _parity_rows(config.bins, pairs, config.measurement, config.dispersion,
+                                        config.truncation)
 
     results: dict = {}
     if len(curves) == 2:

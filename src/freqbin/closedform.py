@@ -28,6 +28,7 @@ from .errors import InvalidInputError
 from .params import ModulationSetting
 
 _PROB_SLACK = 1e-9
+_PROB_LOW, _PROB_HIGH = -_PROB_SLACK, 1.0 + _PROB_SLACK
 PROB_NAMES = ("p_ee", "p_eo", "p_oe", "p_oo")  # ProbTable's entries, in order
 
 
@@ -41,9 +42,7 @@ class ProbTable:
     p_oo: float
 
     def __post_init__(self):
-        for name, p in zip(PROB_NAMES, self.as_tuple()):
-            if not -_PROB_SLACK <= p <= 1.0 + _PROB_SLACK:
-                raise InvalidInputError(f"{name} = {p!r} is not a probability")
+        _check_entries(self.p_ee, self.p_eo, self.p_oe, self.p_oo)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p_ee, self.p_eo, self.p_oe, self.p_oo)
@@ -56,6 +55,16 @@ class ProbTable:
     def correlator(self) -> float:
         """E = P(E,E) - P(E,O) - P(O,E) + P(O,O)."""
         return self.p_ee - self.p_eo - self.p_oe + self.p_oo
+
+
+def _check_entries(ee: float, eo: float, oe: float, oo: float) -> None:
+    """Raise InvalidInputError naming the first entry outside [-1e-9, 1 + 1e-9]; nan is outside."""
+    low, high = _PROB_LOW, _PROB_HIGH
+    if low <= ee <= high and low <= eo <= high and low <= oe <= high and low <= oo <= high:
+        return
+    for name, p in zip(PROB_NAMES, (ee, eo, oe, oo)):
+        if not low <= p <= high:
+            raise InvalidInputError(f"{name} = {p!r} is not a probability")
 
 
 def effective_drive(a_setting: ModulationSetting, b_setting: ModulationSetting) -> float:
@@ -81,12 +90,21 @@ def apply_crosstalk(table: ProbTable, crosstalk: float) -> ProbTable:
         raise InvalidInputError("crosstalk must lie in [0, 0.5]")
     if crosstalk == 0.0:
         return table
+    return ProbTable(*_mix(table.as_tuple(), crosstalk))
+
+
+def _mix(entries, crosstalk: float) -> tuple[float, float, float, float]:
+    """The entries (ee, eo, oe, oo) mixed by the flip matrix F(crosstalk) (x) F(crosstalk).
+
+    Each photon keeps its parity with probability t = 1 - crosstalk, so an
+    entry takes the weight t*t, t*x or x*x by how many of the two labels
+    flip. Products of floats commute, so each weight is computed once.
+    """
     t = 1.0 - crosstalk
     x = crosstalk
-    ee, eo, oe, oo = table.as_tuple()
-    return ProbTable(
-        t * t * ee + t * x * eo + x * t * oe + x * x * oo,
-        t * x * ee + t * t * eo + x * x * oe + x * t * oo,
-        x * t * ee + x * x * eo + t * t * oe + t * x * oo,
-        x * x * ee + x * t * eo + t * x * oe + t * t * oo,
-    )
+    tt, tx, xx = t * t, t * x, x * x
+    ee, eo, oe, oo = entries
+    return (tt * ee + tx * eo + tx * oe + xx * oo,
+            tx * ee + tt * eo + xx * oe + tx * oo,
+            tx * ee + xx * eo + tt * oe + tx * oo,
+            xx * ee + tx * eo + tx * oe + tt * oo)

@@ -85,6 +85,12 @@ class CountRecord:
             raise InvalidInputError(f"counts must be integers, got {self.counts()!r}")
         if any(c < 0 for c in self.counts()):
             raise InvalidInputError("counts must be >= 0")
+        # a numpy integer passes the check above, but json cannot write it
+        for name, c in zip(("n_ee", "n_eo", "n_oe", "n_oo"), self.counts()):
+            object.__setattr__(self, name, int(c))
+        labels = self.setting_labels
+        if not (type(labels) is tuple and len(labels) == 2 and all(type(label) is str for label in labels)):
+            raise InvalidInputError(f"setting labels must be two strings, got {labels!r}")
         background = self.background_per_outcome
         if len(background) != 4 or not all(is_real(b) and abs(b) < math.inf for b in background):
             raise InvalidInputError(f"background must be four finite numbers, got {background!r}")

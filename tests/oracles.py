@@ -1,9 +1,10 @@
 """Reference implementations the tests compare the library against.
 
 Each oracle takes a route independent of the code it checks: the
-Jacobi-Anger residual sums the sideband expansion term by term, and the
+Jacobi-Anger residual sums the sideband expansion term by term, the
 phase average integrates the rotation angle by quadrature instead of through
-the Bessel identity.
+the Bessel identity, and the crosstalk mix multiplies out each flip weight
+term by term instead of once per table.
 """
 
 import cmath
@@ -48,3 +49,24 @@ def phase_average_oracle(a_setting: ModulationSetting,
     same = 0.5 * float(np.mean(np.cos(theta) ** 2))
     cross = 0.5 * float(np.mean(np.sin(theta) ** 2))
     return ProbTable(same, cross, cross, same)
+
+
+def crosstalk_oracle(table: ProbTable, crosstalk: float) -> ProbTable:
+    """The table under independent per-photon parity flips, each weight multiplied out in place.
+
+    apply_crosstalk's body before the weights t*t, t*x and x*x were computed
+    once per table; products of floats commute, so the two agree bit for bit.
+    """
+    if not 0.0 <= crosstalk <= 0.5:
+        raise InvalidInputError("crosstalk must lie in [0, 0.5]")
+    if crosstalk == 0.0:
+        return table
+    t = 1.0 - crosstalk
+    x = crosstalk
+    ee, eo, oe, oo = table.as_tuple()
+    return ProbTable(
+        t * t * ee + t * x * eo + x * t * oe + x * x * oo,
+        t * x * ee + t * t * eo + x * x * oe + x * t * oo,
+        x * t * ee + x * x * eo + t * t * oe + t * x * oo,
+        x * x * ee + x * t * eo + t * x * oe + t * t * oo,
+    )

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 
 from freqbin import (BesselDomainError, BinWindow, DispersionProfile, InvalidInputError,
                      MeasurementModel, ModulationSetting, ProbabilitySumError, ProbTable,
-                     TruncationPolicy, TwoPhotonState, WindowBoundError, apply_crosstalk,
-                     apply_dispersion, apply_modulator, bessel_j, chsh_finite, chsh_ideal,
-                     chsh_optimal_quad, correlated_state, effective_drive, ideal_probabilities,
-                     modulation_kernel, parity_probabilities, parity_tables)
+                     SettingQuad, TruncationPolicy, TwoPhotonState, WindowBoundError,
+                     apply_crosstalk, apply_dispersion, apply_modulator, bessel_j, chsh_finite,
+                     chsh_ideal, chsh_optimal_quad, correlated_state, effective_drive,
+                     ideal_probabilities, modulation_kernel, parity_probabilities, parity_tables)
 from freqbin import binspace
 from freqbin.params import MAX_BINS
 
@@ -522,11 +522,28 @@ class TestParityTables:
 
     def test_bins_past_int64_are_a_window_bound_error(self):
         pair = [(ModulationSetting(0.5, 0.0), ModulationSetting(0.5, 1.0))]
-        for bins in ([2**63], range(2**63 - 1, 2**63 + 1), [-2**63 - 1, 0]):
+        for bins in ([2**63], range(2**63 - 1, 2**63 + 1), [-2**63 - 1, 0],
+                     range(-2**63 - 1, 0, 2**62), range(2**63, 0, -2**62)):
             with pytest.raises(WindowBoundError):
                 parity_tables(bins, pair)
             with pytest.raises(WindowBoundError):
                 correlated_state(bins)
+
+    @pytest.mark.parametrize("bins", [
+        range(2**63 - 2, 2**63), range(-2**63, -2**63 + 5), range(2**63 - 1, 2**63 - 30, -7),
+        range(20, -21, -3), range(-20, 21), range(1, 7), range(5, 6, 2**70),
+        range(-2**63, 2**63 - 1, 2**62), range(2**63 - 1, -2**63 - 1, -(2**64 - 1)),
+    ])
+    def test_a_range_reads_as_its_list(self, bins):
+        # a range's array comes from its ends and step; a list's from each bin
+        got, window = binspace._alice_bins(bins)
+        want, list_window = binspace._alice_bins(list(bins))
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want) and window == list_window
+
+    def test_an_empty_range_needs_a_bin(self):
+        with pytest.raises(InvalidInputError, match="^need at least one bin$"):
+            parity_tables(range(3, 3), [])
 
     @pytest.mark.parametrize("bins, error", [([0, 1.5, 2**64], InvalidInputError),
                                              ([0, 2**64, 1.5], WindowBoundError)])
@@ -786,10 +803,32 @@ class TestParityTablesProperty:
         quadratic = data.draw(st.floats(-0.01, 0.01), label="quadratic")
         crosstalk = data.draw(st.floats(0.0, 0.5), label="crosstalk")
         dispersion = DispersionProfile(quadratic)
-        # the banded engine mixes with apply_crosstalk itself, as the dense oracle does
+        # the banded engine mixes with apply_crosstalk's helper, as the dense oracle does
         mixed = parity_tables(bins, pairs, MeasurementModel(crosstalk=crosstalk), dispersion)
         plain = parity_tables(bins, pairs, None, dispersion)
         assert mixed == [apply_crosstalk(table, crosstalk) for table in plain]
+
+
+class TestChshFiniteReadsTheTables:
+    def test_correlators_are_the_tables_correlators_bit_for_bit(self):
+        # chsh_finite reads the engine's floats; parity_tables wraps the same
+        # floats in ProbTables, so each correlator keeps its bits, signed zeros included
+        rng = np.random.default_rng(31)
+        for case in range(120):
+            low = int(rng.integers(-30, 10))
+            if case % 3 == 2:
+                bins = sorted({int(n) for n in rng.integers(low, low + 40, size=int(rng.integers(1, 12)))})
+            else:
+                bins = range(low, low + int(rng.integers(1, 60)))
+            amplitudes = [0.0 if rng.uniform() < 0.2 else float(rng.uniform(0.0, 1.5)) for _ in range(4)]
+            quad = SettingQuad(*(ModulationSetting(a, float(rng.uniform(0.0, 2 * math.pi)))
+                                 for a in amplitudes))
+            crosstalk = [0.0, float(rng.uniform(0.0, 0.5)), 0.5, None][case % 4]
+            model = None if crosstalk is None else MeasurementModel(crosstalk=crosstalk)
+            dispersion = DispersionProfile(float(rng.uniform(-0.01, 0.01))) if case % 5 < 2 else None
+            report = chsh_finite(quad, bins, model, dispersion)
+            tables = parity_tables(bins, quad.pairs(), model, dispersion)
+            assert repr(report.correlators) == repr(tuple(table.correlator for table in tables))
 
 
 class TestPhaseState:

@@ -732,7 +732,7 @@ class TestExitCodes:
 
         def no_work(*args, **kwargs):
             raise AssertionError("work started past the bound")
-        for module, name in ((cli, "parity_tables"), (cli, "ideal_probabilities"),
+        for module, name in ((cli, "_parity_rows"), (cli, "ideal_probabilities"),
                              (cli, "simulate_counts"), (cli, "simulate_chsh_ensembles"),
                              (bell, "_lbfgsb_lockstep")):
             monkeypatch.setattr(module, name, no_work)

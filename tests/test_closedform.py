@@ -1,5 +1,6 @@
 """Closed-form drive algebra and coincidence tables against the quadrature oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from freqbin import (InvalidInputError, ModulationSetting, ProbTable, apply_crosstalk, bessel_j,
                      effective_drive, ideal_probabilities)
-from oracles import phase_average_oracle
+from oracles import crosstalk_oracle, phase_average_oracle
 
 
 def random_setting(rng, max_amplitude=1.5):
@@ -137,6 +138,18 @@ class TestCrosstalkMixing:
         with pytest.raises(InvalidInputError):
             apply_crosstalk(ProbTable(1, 0, 0, 0), 0.6)
 
+    def test_matches_the_multiplied_out_oracle_bit_for_bit(self):
+        # the weights t*t, t*x and x*x are computed once; float products commute
+        rng = np.random.default_rng(23)
+        special = [0.0, -0.0, 1.0, -1e-9, 1.0 + 1e-9, 5e-324]
+        for _ in range(3000):
+            entries = rng.dirichlet(np.ones(4)).tolist()
+            for k in rng.choice(4, size=int(rng.integers(0, 3)), replace=False).tolist():
+                entries[k] = special[int(rng.integers(len(special)))]
+            crosstalk = [float(rng.uniform(0.0, 0.5)), 0.5, 0.0241, 0.0][int(rng.integers(4))]
+            table = ProbTable(*entries)
+            assert repr(apply_crosstalk(table, crosstalk)) == repr(crosstalk_oracle(table, crosstalk))
+
 
 class TestProbTable:
     def test_rejects_non_probability(self):
@@ -144,3 +157,20 @@ class TestProbTable:
             ProbTable(1.2, 0.0, 0.0, 0.0)
         with pytest.raises(InvalidInputError):
             ProbTable(-0.2, 0.4, 0.4, 0.4)
+
+    def test_entry_check_is_the_per_entry_loop(self):
+        # the check accepts an in-range table in one condition and names the
+        # first bad entry as the per-entry loop does, at and just past the slack
+        slack = 1e-9
+        edges = [-slack, slack, math.nextafter(-slack, -math.inf), 1.0 + slack,
+                 math.nextafter(1.0 + slack, math.inf), math.nan, math.inf, -math.inf, -0.0, 0.5]
+        for values in itertools.product(edges, repeat=4):
+            bad = next((f"{name} = {p!r} is not a probability"
+                        for name, p in zip(("p_ee", "p_eo", "p_oe", "p_oo"), values)
+                        if not -slack <= p <= 1.0 + slack), None)
+            if bad is None:
+                assert ProbTable(*values).as_tuple() == values
+            else:
+                with pytest.raises(InvalidInputError) as error:
+                    ProbTable(*values)
+                assert str(error.value) == bad

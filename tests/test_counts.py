@@ -1278,6 +1278,11 @@ class TestCountRecordJson:
         ({"background_per_outcome": (0.5,)}, "background must be four finite numbers, got (0.5,)"),
         ({"duration": math.inf}, "duration must be finite"),
         ({"duration": "1"}, "duration must be positive"),
+        # labels that were once accepted and written as JSON that from_json_dict refuses
+        ({"setting_labels": (1, 2)}, "setting labels must be two strings, got (1, 2)"),
+        ({"setting_labels": ("A0", None)}, "setting labels must be two strings, got ('A0', None)"),
+        ({"setting_labels": ("A0",)}, "setting labels must be two strings, got ('A0',)"),
+        ({"setting_labels": ["A0", "B0"]}, "setting labels must be two strings, got ['A0', 'B0']"),
     ])
     def test_checks_its_fields(self, kwargs, message):
         fields = {"n_ee": 1, "n_eo": 1, "n_oe": 1, "n_oo": 1, **kwargs}
@@ -1314,6 +1319,13 @@ class TestCountRecordJson:
         del (data if section is None else data[section])[key]
         with pytest.raises(InvalidInputError, match=f"^bad count record: {message}$"):
             CountRecord.from_json_dict(data)
+
+    def test_numpy_counts_round_trip_through_json(self):
+        # a numpy integer count was stored as given, and json.dumps refused the record
+        record = CountRecord(np.int64(3), np.uint8(1), np.int32(4), 1, setting_labels=("A0", "B1"))
+        assert all(type(c) is int for c in record.counts())
+        back = CountRecord.from_json_dict(json.loads(json.dumps(record.to_json_dict())))
+        assert back == record and back.counts() == (3, 1, 4, 1)
 
     def test_schema_roundtrip(self):
         record = CountRecord(10, 2, 3, 11, setting_labels=("A0", "B1"), duration=1800.0,
