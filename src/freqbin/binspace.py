@@ -42,6 +42,7 @@ that gives the bin-resolved amplitude table.
 
 from __future__ import annotations
 
+import functools
 import math
 from array import array
 from dataclasses import dataclass
@@ -87,19 +88,27 @@ class TwoPhotonState:
         return complex(self.amplitudes[self.window_a.index(m), self.window_b.index(n)])
 
 
-def _alice_bins(bins_a) -> tuple[np.ndarray, BinWindow]:
-    """The bins as a sorted int64 array and the window they span; each bin must be an integer.
+def _alice_bins(bins_a, check_window) -> tuple[np.ndarray, BinWindow]:
+    """The bins as a sorted int64 array and the window they span, which check_window vets.
 
     A bin that is not an integer raises InvalidInputError, one past int64
     WindowBoundError; when the bins hold both, the first of them in the
     bins' order decides. A range holds only distinct Python ints, so its
-    array is built from its ends and step, with no per-bin check.
+    window comes from its ends, check_window sees it before anything is
+    allocated, and its array is built from its lowest bin and step.
     """
     if isinstance(bins_a, range) and bins_a:
-        bins = _range_bins(bins_a)
-        if bins is not None:
-            return bins, BinWindow(int(bins[0]), int(bins[-1]))
-    values = bins_a if isinstance(bins_a, (list, tuple, range)) else list(bins_a)
+        ascending = bins_a if bins_a.step > 0 else bins_a[::-1]
+        window = BinWindow(ascending[0], ascending[-1])
+        if window.min_bin < _INT64_MIN or window.max_bin > _INT64_MAX:
+            raise WindowBoundError("bin indices must fit in int64")
+        check_window(window)
+        bins = np.arange(len(ascending), dtype=np.int64)
+        if bins.size > 1:  # the checked window bounds the step; a one-bin range's step may pass int64
+            bins *= ascending.step
+        bins += window.min_bin
+        return bins, window
+    values = bins_a if isinstance(bins_a, (list, tuple)) else list(bins_a)
     # array("q") reads each bin through __index__, which floats, strings, None,
     # numpy bools and numpy floats lack. Python bools have it, so the bins that
     # read as 0 or 1 (as uint64, every other bin reads 2 or more) are checked
@@ -119,27 +128,9 @@ def _alice_bins(bins_a) -> tuple[np.ndarray, BinWindow]:
         raise InvalidInputError("need at least one bin")
     if (bins[1:] == bins[:-1]).any():
         raise InvalidInputError("duplicate bins in correlated state")
-    return bins, BinWindow(int(bins[0]), int(bins[-1]))
-
-
-def _range_bins(bins: range) -> np.ndarray | None:
-    """A nonempty range's bins as an ascending int64 array, from its lowest bin, step and length.
-
-    A first or last bin past int64 raises WindowBoundError. The offsets from
-    the lowest bin, multiples of the step, must fit int64 as well: a range
-    whose ends lie further apart, or a one-bin range whose step does not
-    fit, gives None, and the general path reads its bins one by one.
-    """
-    ascending = bins if bins.step > 0 else bins[::-1]
-    low, high = ascending[0], ascending[-1]
-    if low < _INT64_MIN or high > _INT64_MAX:
-        raise WindowBoundError("bin indices must fit in int64")
-    if high - low > _INT64_MAX or ascending.step > _INT64_MAX:
-        return None
-    offsets = np.arange(len(ascending), dtype=np.int64)
-    offsets *= ascending.step
-    offsets += low
-    return offsets
+    window = BinWindow(int(bins[0]), int(bins[-1]))
+    check_window(window)
+    return bins, window
 
 
 def correlated_state(bins_a) -> TwoPhotonState:
@@ -149,8 +140,7 @@ def correlated_state(bins_a) -> TwoPhotonState:
     square of the window's width, so a wider span raises WindowBoundError
     before anything is allocated.
     """
-    bins, window_a = _alice_bins(bins_a)
-    _check_bin_bound(window_a, DEFAULT_BIN_BOUND)
+    bins, window_a = _alice_bins(bins_a, functools.partial(_check_bin_bound, bin_bound=DEFAULT_BIN_BOUND))
     window_b = window_a.negated()
     amp = np.zeros((window_a.width, window_b.width), dtype=complex)
     # Bob's bin -n sits at column -n - window_b.min_bin = window_a.max_bin - n
@@ -228,6 +218,11 @@ def _check_bin_bound(window: BinWindow, bin_bound: int) -> None:
             f"window [{window.min_bin}, {window.max_bin}] exceeds |bin| <= {bin_bound}")
 
 
+def _check_width(window: BinWindow) -> None:
+    if window.width > MAX_BINS:
+        raise WindowBoundError(f"window [{window.min_bin}, {window.max_bin}] exceeds {MAX_BINS} bins")
+
+
 def apply_dispersion(state: TwoPhotonState, profile: DispersionProfile, arm: str) -> TwoPhotonState:
     """Multiply the chosen arm's bin n amplitudes by e^{i phi(n)}; norm unchanged."""
     state = _as_arm_a(state, arm)
@@ -270,7 +265,8 @@ def parity_tables(bins_a,
     (apply_modulator on A, then on B, then parity_probabilities with the
     model) to rounding, and the same inputs raise the same errors, save that
     only the window width is bounded: past MAX_BINS bins it raises once bins_a
-    is read, before anything else is computed. The banded form in the module
+    is read (a range's from its ends, before its array is built), before
+    anything else is computed. The banded form in the module
     docstring computes all tables in one pass. C_pi takes its closed form
     when the bins fill their window and the dispersion has no per-bin
     overrides, and the envelope correlation otherwise.
@@ -288,9 +284,7 @@ def _parity_rows(bins_a, pairs, model: MeasurementModel | None, dispersion: Disp
     """
     if policy is None:
         policy = _DEFAULT_POLICY
-    bins, window_a = _alice_bins(bins_a)
-    if window_a.width > MAX_BINS:
-        raise WindowBoundError(f"window [{window_a.min_bin}, {window_a.max_bin}] exceeds {MAX_BINS} bins")
+    bins, window_a = _alice_bins(bins_a, _check_width)
     window_b = window_a.negated()
     dispersed = dispersion is not None and not dispersion.is_zero()
     if dispersed:

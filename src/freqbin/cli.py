@@ -161,7 +161,7 @@ def _resolve_config(args) -> RunConfig:
     if args.seed is not None:
         data["seed"] = args.seed
     if args.bins is not None:
-        data["bins"] = list(parse_bins(args.bins))
+        data["bins"] = parse_bins(args.bins)
     for flag, section, key, _, _ in _CONFIG_FLAGS:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:

@@ -20,7 +20,7 @@ from .params import MAX_BINS, DispersionProfile, MeasurementModel, TruncationPol
 class RunConfig:
     rf_frequency: float = 25e9            # Omega / 2pi, Hz
     center_frequency: float = 193.125e12  # omega_0 / 2pi, Hz
-    bins: tuple[int, ...] = (1, 2, 3, 4, 5, 6)
+    bins: tuple[int, ...] | range = (1, 2, 3, 4, 5, 6)
     truncation: TruncationPolicy = TruncationPolicy()
     measurement: MeasurementModel = MeasurementModel()
     dispersion: DispersionProfile = DispersionProfile()
@@ -65,6 +65,7 @@ class RunConfig:
         number = functools.partial(json_number, "config value")
         try:
             disp = data.get("dispersion", {})
+            bins = data.get("bins", base.bins)
             overrides, keys = {}, {}
             for key, value in (disp.get("per_bin_overrides") or {}).items():
                 bin_index = strict_int(key)
@@ -83,7 +84,9 @@ class RunConfig:
                 rf_frequency=float(number("rf_frequency", data.get("rf_frequency", base.rf_frequency))),
                 center_frequency=float(number("center_frequency", data.get("center_frequency",
                                                                            base.center_frequency))),
-                bins=tuple(number("each bin", b, integer=True) for b in data.get("bins", base.bins)),
+                # parse_bins' range holds only ints; other bins are checked one by one
+                bins=bins if type(bins) is range else tuple(number("each bin", b, integer=True)
+                                                            for b in bins),
                 truncation=TruncationPolicy(**truncation),
                 measurement=MeasurementModel(**measurement),
                 dispersion=DispersionProfile(
@@ -120,8 +123,8 @@ def load_config(path) -> RunConfig:
     return RunConfig.from_dict(data)
 
 
-def parse_bins(text: str) -> tuple[int, ...]:
-    """Bin list from '1,2,3' or an inclusive range 'lo..hi' of at most MAX_BINS bins, read by strict_int."""
+def parse_bins(text: str) -> tuple[int, ...] | range:
+    """Bin tuple from '1,2,3' or range from 'lo..hi' (inclusive, at most MAX_BINS bins) by strict_int."""
     if ".." in text:
         lo_text, hi_text = text.split("..", 1)
         try:
@@ -132,7 +135,7 @@ def parse_bins(text: str) -> tuple[int, ...]:
             raise InvalidInputError(f"bad bin range {text!r}")
         if hi - lo >= MAX_BINS:
             raise InvalidInputError(f"bin range {text!r} has {hi - lo + 1} bins; at most {MAX_BINS} allowed")
-        return tuple(range(lo, hi + 1))
+        return range(lo, hi + 1)
     try:
         return tuple(strict_int(part) for part in text.split(","))
     except ValueError:

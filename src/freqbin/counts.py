@@ -127,13 +127,14 @@ class CountRecord:
         missing = [key for key in OUTCOMES if key not in counts]
         if missing:
             raise InvalidInputError(f"bad count record: counts has no key {missing[0]!r}")
-        labels = (data.get("setting_a", ""), data.get("setting_b", ""))
-        if not all(type(label) is str for label in labels):
-            raise InvalidInputError(f"bad count record: setting labels must be strings, got {labels!r}")
-        return cls(*(number(f"counts.{key}", counts[key], integer=True) for key in OUTCOMES),
-                   setting_labels=labels, duration=number("duration_s", data.get("duration_s", 1.0)),
-                   background_per_outcome=tuple(number(f"background.{key}", background.get(key, 0.0))
-                                                for key in OUTCOMES))
+        values = [number(f"counts.{key}", counts[key], integer=True) for key in OUTCOMES]
+        duration = number("duration_s", data.get("duration_s", 1.0))
+        background = tuple(number(f"background.{key}", background.get(key, 0.0)) for key in OUTCOMES)
+        try:  # the constructor's own checks, the labels' among them
+            return cls(*values, setting_labels=(data.get("setting_a", ""), data.get("setting_b", "")),
+                       duration=duration, background_per_outcome=background)
+        except InvalidInputError as exc:
+            raise InvalidInputError(f"bad count record: {exc}") from None
 
 
 @dataclass(eq=False)

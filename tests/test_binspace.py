@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -531,15 +532,36 @@ class TestParityTables:
 
     @pytest.mark.parametrize("bins", [
         range(2**63 - 2, 2**63), range(-2**63, -2**63 + 5), range(2**63 - 1, 2**63 - 30, -7),
-        range(20, -21, -3), range(-20, 21), range(1, 7), range(5, 6, 2**70),
-        range(-2**63, 2**63 - 1, 2**62), range(2**63 - 1, -2**63 - 1, -(2**64 - 1)),
+        range(-2**63 + 3, -2**63 - 1, -1), range(20, -21, -3), range(-20, 21), range(1, 7),
+        range(5, 6, 2**70), range(-2**63, -2**63 - 1, -2**70),
     ])
     def test_a_range_reads_as_its_list(self, bins):
         # a range's array comes from its ends and step; a list's from each bin
-        got, window = binspace._alice_bins(bins)
-        want, list_window = binspace._alice_bins(list(bins))
+        got, window = binspace._alice_bins(bins, binspace._check_width)
+        want, list_window = binspace._alice_bins(list(bins), binspace._check_width)
         assert got.dtype == want.dtype == np.int64
         assert np.array_equal(got, want) and window == list_window
+
+    @pytest.mark.parametrize("bins", [
+        range(0, 2 * MAX_BINS), range(-10**10, 10**10), range(10**10, -10**10, -3),
+        range(-2**63, 2**63 - 1, 2**62), range(2**63 - 1, -2**63 - 1, -(2**64 - 1)),
+    ])
+    def test_too_wide_range_raises_before_it_allocates(self, bins):
+        # the bins' array was built before the window was checked: 8 bytes a bin
+        ascending = bins if bins.step > 0 else bins[::-1]
+        pairs = chsh_optimal_quad().pairs()
+        tracemalloc.start()
+        try:
+            with pytest.raises(WindowBoundError, match=re.escape(
+                    f"window [{ascending[0]}, {ascending[-1]}] exceeds {MAX_BINS} bins")):
+                parity_tables(bins, pairs)
+            with pytest.raises(WindowBoundError, match=re.escape(
+                    f"window [{ascending[0]}, {ascending[-1]}] exceeds |bin| <= {binspace.DEFAULT_BIN_BOUND}")):
+                correlated_state(bins)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     def test_an_empty_range_needs_a_bin(self):
         with pytest.raises(InvalidInputError, match="^need at least one bin$"):

@@ -130,12 +130,22 @@ class TestConfig:
 
     def test_parse_bins(self):
         assert parse_bins("1,2,3") == (1, 2, 3)
-        assert parse_bins("1..6") == (1, 2, 3, 4, 5, 6)
-        assert parse_bins("-2..2") == (-2, -1, 0, 1, 2)
+        assert parse_bins("1..6") == range(1, 7)
+        assert parse_bins("-2..2") == range(-2, 3)
         assert parse_bins(" 1, 2 ,3 ") == (1, 2, 3)
-        assert parse_bins("-2 .. 0") == (-2, -1, 0)
+        assert parse_bins("-2 .. 0") == range(-2, 1)
         with pytest.raises(InvalidInputError):
             parse_bins("1,x")
+
+    def test_bin_range_reaches_the_engine_as_a_range(self, tmp_path, monkeypatch):
+        # a range's bins need no per-bin check, and the run record still lists each bin
+        from freqbin import cli
+        seen, real = [], cli.chsh_finite
+        monkeypatch.setattr(cli, "chsh_finite", lambda quad, bins, *rest: seen.append(bins) or real(quad, bins, *rest))
+        out = tmp_path / "run.json"
+        assert run_cli("chsh", "finite", "--bins=-3..3", "--out", str(out)) == 0
+        assert seen == [range(-3, 4)] and type(seen[0]) is range
+        assert json.loads(out.read_text())["config"]["bins"] == [-3, -2, -1, 0, 1, 2, 3]
 
     @pytest.mark.parametrize("text, message", [
         ("1_0,2", "bad bin list"), ("+1,2", "bad bin list"), ("\uff11,\uff12", "bad bin list"),

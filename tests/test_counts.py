@@ -1297,7 +1297,10 @@ class TestCountRecordJson:
         ({"duration_s": None}, "duration_s must be a number, got None"),
         ({"background": {"OE": "0.5"}}, "background.OE must be a number, got '0.5'"),
         ({"background": {"EE": False}}, "background.EE must be a number, got False"),
-        ({"setting_a": 0}, "setting labels must be strings, got (0, 'B1')"),
+        # the constructor's checks, under the reader's prefix
+        ({"setting_a": 0}, "setting labels must be two strings, got (0, 'B1')"),
+        ({"counts": {"EE": -1}}, "counts must be >= 0"),
+        ({"duration_s": 0}, "duration must be positive"),
         ({"background": [0.0]}, "background must be an object, got [0.0]"),
         ({"counts": None}, "counts must be an object, got None"),
     ])
