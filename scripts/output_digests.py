@@ -6,7 +6,9 @@
 The battery simulates histograms, analyzes them in JSON and CSV (and as a
 visibility scan), runs every `chsh` subcommand and `pattern`, with and
 without interleaver crosstalk on the finite model, and feeds `analyze` a
-malformed file and `chsh finite` a drive past its truncation cap. Each
+malformed file and `chsh finite` a drive past its truncation cap. Further
+rows read a config file of gapped bins with per-bin dispersion overrides,
+alone and under flags, and one bad flag on it. Each
 command runs in one fresh temporary directory with relative paths, so the
 listing holds nothing of the machine: one line per output file, standard
 output and standard error, in the form "<sha256>  <command>: <what>". Diff
@@ -27,6 +29,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 HISTOGRAMS = [f"sim/hist_{label}.csv" for label in ("A0B0", "A0B1", "A1B0", "A1B1")]
 SCAN = HISTOGRAMS + [f"sim2/hist_{label}.csv" for label in ("A0B0", "A0B1", "A1B0", "A1B1")]
 MALFORMED = "# coincidence-histogram v1, bin_width_s=5e-10\nEE,0,3\nEE,1,-4\n"
+# gapped bins with per-bin dispersion overrides: the finite engine's envelope-correlation path
+CONFIG = ('{"bins": [-7, -3, 0, 2, 5, 11], "seed": 4, "measurement": {"crosstalk": 0.0241, '
+          '"efficiency": 0.8}, "dispersion": {"quadratic_coefficient": 0.002, '
+          '"per_bin_overrides": {"2": 0.5, "-3": 1.25}}}')
 
 # (expected exit code, arguments); every output path is relative to the run directory
 BATTERY = [
@@ -57,6 +63,16 @@ BATTERY = [
          "--format", "json", "--out", "pattern.json"]),
     (0, ["pattern", "--pattern-model", "both", "--bins=-4..4", "--steps", "7",
          "--crosstalk", "0.0241", "--out", "pattern_crosstalk.csv"]),
+    (0, ["chsh", "finite", "--config", "config.json", "--out", "config_finite.json"]),
+    (0, ["chsh", "finite", "--config", "config.json", "--crosstalk", "0.01", "--epsilon", "1e-9",
+         "--format", "csv", "--out", "config_finite.csv"]),
+    (0, ["pattern", "--pattern-model", "both", "--config", "config.json", "--steps", "5",
+         "--out", "config_pattern.csv"]),
+    (0, ["chsh", "eval", "--config", "config.json", "--seed", "9", "--out", "config_eval.json"]),
+    (0, ["simulate", "--config", "config.json", "--out", "config_sim"]),
+    (3, ["chsh", "finite", "--config", "config.json", "--crosstalk", "0.7"]),
+    (0, ["chsh", "finite", "--bins", "1,3,4,8", "--dispersion-quadratic", "1e-3",
+         "--out", "finite_gapped.json"]),
 ]
 
 
@@ -76,6 +92,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         (root / "malformed.csv").write_text(MALFORMED, encoding="utf-8")
+        (root / "config.json").write_text(CONFIG, encoding="utf-8")
         for expected, args in BATTERY:
             before = files_under(root)
             run = subprocess.run([sys.executable, "-c", "import sys; from freqbin.cli import main; "

@@ -38,6 +38,7 @@ MAX_ENSEMBLES = 1_000_000  # montecarlo ensembles, ~1.3 us each drawn in numpy c
 
 # Flags that override one config field: (flag, section or None for top level, key, type, help)
 _CONFIG_FLAGS = (
+    ("--seed", None, "seed", strict_int, None),
     ("--rf-frequency", None, "rf_frequency", float, None),
     ("--center-frequency", None, "center_frequency", float, None),
     ("--epsilon", "truncation", "epsilon", float, "truncation amplitude tolerance"),
@@ -76,7 +77,6 @@ def main(argv=None) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file; flags override its values")
-    common.add_argument("--seed", type=strict_int)
     common.add_argument("--out", help="output file (or directory for simulate)")
     common.add_argument("--format", choices=("csv", "json"), dest="out_format")
     common.add_argument("--bins", help="bin list '1,2,3' or range '1..6'")
@@ -156,17 +156,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> RunConfig:
+    """The config file or defaults, each flag set on its field and checked by its record's constructor."""
     config = load_config(args.config) if args.config else RunConfig()
-    data = config.to_dict()
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.bins is not None:
-        data["bins"] = parse_bins(args.bins)
+    fields = {} if args.bins is None else {"bins": parse_bins(args.bins)}
+    sections = {}
     for flag, section, key, _, _ in _CONFIG_FLAGS:
         value = getattr(args, flag[2:].replace("-", "_"))
         if value is not None:
-            (data[section] if section else data)[key] = value
-    return RunConfig.from_dict(data)
+            (sections.setdefault(section, {}) if section else fields)[key] = value
+    for section, values in sections.items():
+        fields[section] = dataclasses.replace(getattr(config, section), **values)
+    return dataclasses.replace(config, **fields)
 
 
 def _quad_from_args(args) -> SettingQuad:

@@ -65,7 +65,6 @@ class RunConfig:
         number = functools.partial(json_number, "config value")
         try:
             disp = data.get("dispersion", {})
-            bins = data.get("bins", base.bins)
             overrides, keys = {}, {}
             for key, value in (disp.get("per_bin_overrides") or {}).items():
                 bin_index = strict_int(key)
@@ -84,9 +83,7 @@ class RunConfig:
                 rf_frequency=float(number("rf_frequency", data.get("rf_frequency", base.rf_frequency))),
                 center_frequency=float(number("center_frequency", data.get("center_frequency",
                                                                            base.center_frequency))),
-                # parse_bins' range holds only ints; other bins are checked one by one
-                bins=bins if type(bins) is range else tuple(number("each bin", b, integer=True)
-                                                            for b in bins),
+                bins=tuple(number("each bin", b, integer=True) for b in data.get("bins", base.bins)),
                 truncation=TruncationPolicy(**truncation),
                 measurement=MeasurementModel(**measurement),
                 dispersion=DispersionProfile(

@@ -159,13 +159,27 @@ class Histogram:
         if not 0.0 < width < math.inf:
             raise InvalidInputError("bin_width_s must be positive and finite")
         self.bin_width_s = width
+        if not is_int(self.start_index):
+            raise InvalidInputError(f"start_index must be an integer, got {self.start_index!r}")
+        self.start_index = int(self.start_index)  # a numpy integer's span would wrap past int64
         if not self.counts:
             raise InvalidInputError("histogram needs at least one channel pair")
         counts = {}  # the histogram's own mapping: the caller's dict is left as it was
         for pair, arr in self.counts.items():
             if pair not in OUTCOMES:
                 raise InvalidInputError(f"unknown channel pair {pair!r}")
-            arr = counts[pair] = np.asarray(arr, dtype=np.int64)
+            try:
+                arr = np.asarray(arr)
+            except ValueError:  # a ragged nested sequence
+                raise InvalidInputError("histogram counts must be one-dimensional") from None
+            if arr.ndim != 1:
+                raise InvalidInputError(f"histogram counts must be one-dimensional, got shape {arr.shape}")
+            # np.asarray([]) is float64: an empty array is refused by its length below
+            if arr.size and arr.dtype.kind not in "iu":  # float, bool, object, str...
+                raise InvalidInputError(f"histogram counts must be int64 integers, got {arr.dtype} values")
+            if arr.dtype == np.uint64 and arr.size and arr.max() > np.iinfo(np.int64).max:
+                raise InvalidInputError(f"histogram counts must be int64 integers, got {arr.max()}")
+            arr = counts[pair] = arr.astype(np.int64, copy=False)
             if (arr < 0).any():
                 raise InvalidInputError("histogram counts must be >= 0")
         self.counts = counts

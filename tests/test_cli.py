@@ -231,6 +231,42 @@ class TestConfig:
         capsys.readouterr()
         assert json.loads(out.read_text())["config"]["seed"] == 2
 
+    def test_config_file_bins_are_checked_once(self, tmp_path, monkeypatch, capsys):
+        # the flags once went through to_dict and from_dict again, checking every bin twice
+        from freqbin import config as config_module
+        names, real = [], config_module.json_number
+
+        def counted(source, name, *rest, **kwargs):
+            names.append(name)
+            return real(source, name, *rest, **kwargs)
+        monkeypatch.setattr(config_module, "json_number", counted)
+        bins = list(range(-20, 21))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"bins": bins}))
+        assert run_cli("chsh", "finite", "--config", str(path), "--out", str(tmp_path / "finite.json")) == 0
+        capsys.readouterr()
+        assert names.count("each bin") == len(bins)
+
+    def test_section_flag_keeps_the_files_other_fields(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"measurement": {"crosstalk": 0.05, "efficiency": 0.5}}))
+        out = tmp_path / "finite.json"
+        assert run_cli("chsh", "finite", "--config", str(path), "--crosstalk", "0.02",
+                       "--out", str(out)) == 0
+        capsys.readouterr()
+        measurement = json.loads(out.read_text())["config"]["measurement"]
+        assert (measurement["crosstalk"], measurement["efficiency"]) == (0.02, 0.5)
+
+    @pytest.mark.parametrize("argv, message", [
+        (("--rf-frequency", "-1", "--crosstalk", "0.7"), "crosstalk must lie in [0, 0.5]"),
+        (("--seed", "-1", "--epsilon", "2"), "epsilon must lie in (0, 1), got 2.0"),
+        (("--center-frequency", "nan", "--seed", "-3"), "center_frequency must be positive and finite"),
+    ])
+    def test_first_of_two_bad_flags_is_named(self, argv, message, capsys):
+        # the sections are checked before RunConfig's own fields, in _CONFIG_FLAGS order
+        assert run_cli("chsh", "finite", *argv) == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestPattern:
     def test_ideal_curve_properties(self, tmp_path, capsys):

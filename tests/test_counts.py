@@ -282,27 +282,50 @@ class TestHistogramFormat:
             ingest_histogram(text)
         assert excinfo.value.line == 1
 
-    @pytest.mark.parametrize("width, counts, message", [
-        (0.0, {"EE": [1]}, "bin_width_s must be positive and finite"),
-        (float("nan"), {"EE": [1]}, "bin_width_s must be positive and finite"),
-        (1e-9, {}, "histogram needs at least one channel pair"),
-        (1e-9, {"XY": [1]}, "unknown channel pair 'XY'"),
-        (1e-9, {"EE": [1, -1]}, "histogram counts must be >= 0"),
-        (1e-9, {"EE": [1, 2], "OO": [1]}, "channel-pair arrays must share one nonzero length"),
-        (1e-9, {"EE": []}, "channel-pair arrays must share one nonzero length"),
-        (math.inf, {"EE": [1]}, "bin_width_s must be positive and finite"),
-        (-math.inf, {"EE": [1]}, "bin_width_s must be positive and finite"),
-        (10**400, {"EE": [1]}, "bin_width_s must be positive and finite"),
+    @pytest.mark.parametrize("width, start, counts, message", [
+        (0.0, 0, {"EE": [1]}, "bin_width_s must be positive and finite"),
+        (float("nan"), 0, {"EE": [1]}, "bin_width_s must be positive and finite"),
+        (1e-9, 0, {}, "histogram needs at least one channel pair"),
+        (1e-9, 0, {"XY": [1]}, "unknown channel pair 'XY'"),
+        (1e-9, 0, {"EE": [1, -1]}, "histogram counts must be >= 0"),
+        (1e-9, 0, {"EE": [1, 2], "OO": [1]}, "channel-pair arrays must share one nonzero length"),
+        (1e-9, 0, {"EE": []}, "channel-pair arrays must share one nonzero length"),
+        (math.inf, 0, {"EE": [1]}, "bin_width_s must be positive and finite"),
+        (-math.inf, 0, {"EE": [1]}, "bin_width_s must be positive and finite"),
+        (10**400, 0, {"EE": [1]}, "bin_width_s must be positive and finite"),
         # True was once written as bin_width_s=True; a string or None raised a bare TypeError
-        (True, {"EE": [1]}, "bin_width_s must be a real number, got True"),
-        (np.True_, {"EE": [1]}, "bin_width_s must be a real number, got np.True_"),
-        ("5e-10", {"EE": [1]}, "bin_width_s must be a real number, got '5e-10'"),
-        (None, {"EE": [1]}, "bin_width_s must be a real number, got None"),
-        (1j, {"EE": [1]}, "bin_width_s must be a real number, got 1j"),
+        (True, 0, {"EE": [1]}, "bin_width_s must be a real number, got True"),
+        (np.True_, 0, {"EE": [1]}, "bin_width_s must be a real number, got np.True_"),
+        ("5e-10", 0, {"EE": [1]}, "bin_width_s must be a real number, got '5e-10'"),
+        (None, 0, {"EE": [1]}, "bin_width_s must be a real number, got None"),
+        (1j, 0, {"EE": [1]}, "bin_width_s must be a real number, got 1j"),
+        # a float count was once truncated, [1.7, 2.2] stored as [1, 2]; the other values
+        # passed here and then failed in emit_histogram, or raised OverflowError or ValueError
+        (5e-10, 0, {"EE": [1.7, 2.2]}, "histogram counts must be int64 integers, got float64 values"),
+        (5e-10, 0, {"EE": [1, float("nan")]}, "histogram counts must be int64 integers, got float64 values"),
+        (5e-10, 0, {"EE": [True, False]}, "histogram counts must be int64 integers, got bool values"),
+        (5e-10, 0, {"EE": [1, None]}, "histogram counts must be int64 integers, got object values"),
+        (5e-10, 0, {"EE": [2**64]}, "histogram counts must be int64 integers, got object values"),
+        (5e-10, 0, {"EE": [2**63]}, f"histogram counts must be int64 integers, got {2**63}"),
+        (5e-10, 0, {"EE": [[1, 2], [3, 4]]}, "histogram counts must be one-dimensional, got shape (2, 2)"),
+        (5e-10, 0, {"EE": [[1, 2], [3]]}, "histogram counts must be one-dimensional"),
+        (5e-10, 0, {"EE": 5}, "histogram counts must be one-dimensional, got shape ()"),
+        (5e-10, 1.5, {"EE": [1]}, "start_index must be an integer, got 1.5"),
+        (5e-10, True, {"EE": [1]}, "start_index must be an integer, got True"),
+        (5e-10, None, {"EE": [1]}, "start_index must be an integer, got None"),
     ])
-    def test_histogram_checks_its_fields(self, width, counts, message):
+    def test_histogram_checks_its_fields(self, width, start, counts, message):
         with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
-            Histogram(bin_width_s=width, start_index=0, counts=counts)
+            Histogram(bin_width_s=width, start_index=start, counts=counts)
+
+    def test_histogram_takes_integer_arrays_of_any_width(self):
+        histogram = Histogram(bin_width_s=1e-9, start_index=np.int64(-1),
+                              counts={"EE": np.array([1, 2], dtype=np.uint8),
+                                      "OO": np.array([3, 2**63 - 1], dtype=np.uint64)})
+        assert type(histogram.start_index) is int
+        assert all(arr.dtype == np.int64 for arr in histogram.counts.values())
+        assert emit_histogram(histogram) == ("# coincidence-histogram v1, bin_width_s=1e-09\n"
+                                             f"EE,-1,1\nEE,0,2\nOO,-1,3\nOO,0,{2**63 - 1}\n")
 
     @pytest.mark.parametrize("width", [5e-324, 1e-9, 0.1, 1.7976931348623157e308,
                                        np.float64(5e-10), np.float32(5e-10), np.int64(3), 3])
